@@ -399,25 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
         "saturates the cores",
     )
     sweep.add_argument(
-        "--backend",
-        default="auto",
-        metavar="SPEC",
-        help="array backend executing the streaming tile ops: 'auto' "
-        "(default; honours REPRO_BACKEND), 'numpy', a registered name, "
-        "or a 'module.path:attr' entry point; every conforming backend "
-        "is bit-identical",
-    )
-    sweep.add_argument(
-        "--pair-major",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="pair-major stacking: batch every uncached pair of a "
-        "serial sweep into one streaming tile pass ('auto' stacks "
-        "whenever the streaming engine is reachable and no checkpoint "
-        "directory is set; 'on' requires that configuration; 'off' "
-        "keeps the per-pair loop); results are bit-identical",
-    )
-    sweep.add_argument(
         "--environment",
         type=_parse_environment_arg,
         default=None,
@@ -801,12 +782,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.checkpoint_dir is not None and args.engine == "batched":
         print("sweep failed: --checkpoint-dir needs the streaming engine")
         return 2
-    if args.pair_major == "on" and args.checkpoint_dir is not None:
-        print("sweep failed: --pair-major on does not support --checkpoint-dir")
-        return 2
-    if args.pair_major == "on" and args.engine == "batched":
-        print("sweep failed: --pair-major on needs the streaming engine")
-        return 2
     store = None
     if args.store_dir is not None:
         store_kwargs = {"read_roots": args.read_roots or ()}
@@ -818,7 +793,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # run's partial progress: discard whatever snapshots remain.
         for stale in Path(args.checkpoint_dir).glob("*.ckpt.json"):
             stale.unlink()
-    pair_major = {"auto": "auto", "on": True, "off": False}[args.pair_major]
     try:
         runner = SweepRunner(
             workers=args.workers or None,
@@ -829,8 +803,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             results=args.results_dir,
             checkpoint_dir=args.checkpoint_dir,
             environment=args.environment,
-            backend=args.backend,
-            pair_major=pair_major,
         )
     except ValueError as exc:
         print(f"sweep failed: {exc}")
@@ -872,10 +844,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"stream workers: {args.stream_workers} per pair")
     if args.tile_bytes is not None:
         print(f"tile bytes: {args.tile_bytes}")
-    if args.backend != "auto":
-        print(f"backend:   {args.backend}")
-    if args.pair_major != "auto":
-        print(f"pair-major: {args.pair_major}")
     header = ["pair", "worst TTR", "mean", "p95", "shifts"]
     if faulted:
         header.append("missed")

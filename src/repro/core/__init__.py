@@ -36,9 +36,9 @@ batch
 stream
     Streaming tiled-sweep engine: the same profiles computed in
     fixed-byte ``(shift, time)`` tiles generated on demand, for
-    schedules whose period is too large to table — blocked over
-    intra-pair worker lanes, with an L2/L3-aware tile-plan auto-tuner
-    (``plan_tiles``) and a single-threaded reference scan.
+    schedules whose period is too large to table — one row-table scan
+    for one pair or a stacked grid of pairs, blocked over thread lanes,
+    with an L2/L3-aware tile-plan auto-tuner (``plan_tiles``).
 store
     Shared-memory schedule store: period tables materialized once as
     read-only memmaps and attached by every sweep process (sharded

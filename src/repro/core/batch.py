@@ -48,7 +48,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro.core import schedule as _schedule
 from repro.core import stream as _stream
 from repro.core import telemetry
-from repro.core.backend import ArrayBackend, resolve_backend
 from repro.core.environment import Environment, effective_horizon
 from repro.core.schedule import Schedule
 
@@ -99,7 +98,6 @@ def ttr_sweep(
     stream_workers: int | None = None,
     checkpoint: _stream.SweepCheckpoint | None = None,
     environment: Environment | None = None,
-    backend: ArrayBackend | str | None = "auto",
 ) -> dict[int, int | None]:
     """TTR for every relative shift, in one batched or streamed pass.
 
@@ -145,24 +143,12 @@ def ttr_sweep(
     across all engines.  An aperiodic mask disables the lcm early-stop:
     the scan then covers the caller's full horizon
     (:func:`repro.core.environment.effective_horizon`).
-
-    ``backend`` selects the array library executing the streaming tile
-    ops (:func:`repro.core.backend.resolve_backend` spec).  Like
-    checkpointing it is a streaming-engine feature: a non-numpy backend
-    makes ``"auto"`` dispatch straight to the stream path, and forcing
-    ``"batched"`` or ``"scalar"`` with one raises ``ValueError``.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if checkpoint is not None and engine not in ("auto", "stream"):
         raise ValueError(
             f"checkpointing needs the streaming engine, got engine={engine!r}"
-        )
-    backend = resolve_backend(backend)
-    if backend.name != "numpy" and engine not in ("auto", "stream"):
-        raise ValueError(
-            f"backend {backend.name!r} needs the streaming engine, "
-            f"got engine={engine!r}"
         )
     a = _coerce_schedule(a)
     b = _coerce_schedule(b)
@@ -174,8 +160,7 @@ def ttr_sweep(
     joint = math.lcm(a.period, b.period)
     if engine == "auto":
         engine = choose_engine(
-            a, b, len(shift_list),
-            checkpoint=checkpoint is not None, backend=backend,
+            a, b, len(shift_list), checkpoint=checkpoint is not None
         )
     if engine == "scalar":
         # The joint pattern repeats every lcm slots, so capping the
@@ -196,7 +181,6 @@ def ttr_sweep(
             workers=stream_workers,
             checkpoint=checkpoint,
             environment=environment,
-            backend=backend,
         )
     if a.period > BATCH_TABLE_LIMIT or b.period > BATCH_TABLE_LIMIT:
         raise ValueError(
@@ -240,7 +224,6 @@ def choose_engine(
     b: Schedule | np.ndarray,
     num_shifts: int,
     checkpoint: bool = False,
-    backend: ArrayBackend | str | None = "auto",
 ) -> str:
     """The engine ``engine="auto"`` resolves to for one sweep shape.
 
@@ -248,8 +231,7 @@ def choose_engine(
     the auto-dispatch policy, exposed so tests can pin each regime and
     callers can preview a dispatch.  In order:
 
-    * ``checkpoint`` or a non-numpy ``backend`` → ``"stream"`` (both
-      are streaming-engine features);
+    * ``checkpoint`` → ``"stream"`` (a streaming-engine feature);
     * joint period at most :data:`SCALAR_JOINT_LIMIT` → ``"scalar"``
       (vectorized setup would dominate);
     * either period beyond :data:`BATCH_TABLE_LIMIT` → ``"stream"``
@@ -262,7 +244,7 @@ def choose_engine(
     """
     a = _coerce_schedule(a)
     b = _coerce_schedule(b)
-    if checkpoint or resolve_backend(backend).name != "numpy":
+    if checkpoint:
         return "stream"
     if math.lcm(a.period, b.period) <= SCALAR_JOINT_LIMIT:
         return "scalar"
@@ -281,30 +263,22 @@ def ttr_sweep_pairs(
     tile_bytes: int | None = None,
     stream_workers: int | None = None,
     environment: Environment | None = None,
-    backend: ArrayBackend | str | None = "auto",
 ) -> list[dict[int, int | None]]:
-    """TTR profiles for many schedule pairs, pair-major when possible.
+    """TTR profiles for many schedule pairs, stacked when possible.
 
     The multi-pair face of :func:`ttr_sweep`: ``jobs`` is a sequence of
     ``(a, b, shifts)`` items, ``horizon`` one shared horizon or a
     per-job sequence, and the result is one shift→TTR mapping per job,
     bit-identical to calling :func:`ttr_sweep` per job with the same
     arguments.  ``engine="auto"`` or ``"stream"`` runs the whole batch
-    through one pair-major tile pass
+    through one stacked tile pass
     (:func:`repro.core.stream.ttr_sweep_pairs` — one chunk loop
     amortizes dispatch, planning, and fixed-row work across every
     pair); ``"batched"`` and ``"scalar"`` fall back to a per-job
-    :func:`ttr_sweep` loop, which is also the reference path the
-    differential harness certifies the stacked scan against.
+    :func:`ttr_sweep` loop.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    backend = resolve_backend(backend)
-    if backend.name != "numpy" and engine not in ("auto", "stream"):
-        raise ValueError(
-            f"backend {backend.name!r} needs the streaming engine, "
-            f"got engine={engine!r}"
-        )
     if engine in ("auto", "stream"):
         return _stream.ttr_sweep_pairs(
             jobs,
@@ -312,7 +286,6 @@ def ttr_sweep_pairs(
             tile_bytes=tile_bytes,
             workers=stream_workers,
             environment=environment,
-            backend=backend,
         )
     job_list = list(jobs)
     if isinstance(horizon, Iterable):

@@ -33,50 +33,38 @@ computation walks fixed-byte ``(shift-block, time-block)`` **tiles**:
   periodicity argument and forces the full horizon
   (:func:`repro.core.environment.effective_horizon`).
 
-Two scans implement those semantics:
+One kernel implements those semantics.  Work is a **row table**: every
+deduped shift class of every job becomes one row carrying (varying
+schedule, fixed schedule, offset, effective horizon, start frontier).
+:func:`ttr_sweep_stream` is a one-job table and :func:`ttr_sweep_pairs`
+stacks many jobs — e.g. a whole Table-1 cell grid — into one:
 
-* :func:`ttr_sweep_stream` — the production path.  The deduped shift
-  classes are split into independent **shift blocks** (a
-  :class:`TilePlan` decides how many rows per block and how many bytes
-  per tile — :func:`plan_tiles` auto-tunes both from the worker count,
-  the machine's L2/L3 cache sizes, and the problem shape), every
-  block's tile rows are assembled in *one* vectorized
-  ``channel_gather`` call (dense blocks use a contiguous
-  ``channel_block`` chunk plus strided window views instead), and with
-  ``workers > 1`` the blocks fan out over a thread pool — numpy
+* rows sort by (fixed schedule, varying schedule, offset) and split
+  into independent **shift blocks** (a :class:`TilePlan` decides how
+  many rows per block and how many bytes per tile — :func:`plan_tiles`
+  auto-tunes both from the worker count, the machine's L2/L3 cache
+  sizes, and the problem shape);
+* each run of rows sharing a (fixed, varying) schedule pair gathers
+  its varying side in *one* vectorized ``channel_gather`` call (dense
+  runs use a contiguous ``channel_block`` chunk plus strided window
+  views instead) and compares it against *one* broadcast row of the
+  fixed side, memoized per time window and shared by every block;
+* every row retires independently under its own horizon, and a row's
+  start frontier is where its scan resumes — checkpoint resume
+  (:class:`SweepCheckpoint`) is nothing more than that column;
+* with ``workers > 1`` the blocks fan out over a thread pool — numpy
   releases the GIL inside the tile-sized comparisons and gathers, so
   the lanes genuinely overlap on multi-core machines.  Blocks touch
-  disjoint result rows, so the merge is trivially race-free and the
-  result is bit-identical to any serial order.
-* :func:`ttr_sweep_stream_serial` — the original single-threaded
-  reference scan, kept verbatim (fixed ``DEFAULT_TILE_BYTES`` budget,
-  per-row generation for sparse blocks).  It plays the role for the
-  parallel scan that the scalar loop plays for the batched engine: the
-  independent implementation parity tests certify against, and the
-  baseline the intra-pair speedup benchmark measures from.
+  disjoint result rows, so the merge is race-free and the result is
+  bit-identical to any serial order.
 
-Results are bit-identical across both scans, every worker count, every
-tile plan, and the batched and scalar engines —
-``tests/core/test_stream.py`` certifies the full parity matrix across
-every workload generator, and ``tests/core/test_differential.py`` adds
-a randomized cross-engine safety net.  Tuning guidance lives in
+Results are bit-identical across every worker count, every tile plan,
+every stacking of jobs, and the batched and scalar engines —
+``tests/core/test_stream.py`` certifies the parity matrix against the
+scalar :func:`repro.core.verification.ttr_for_shift` loop across every
+workload generator, and ``tests/core/test_differential.py`` adds a
+randomized cross-engine safety net.  Tuning guidance lives in
 ``docs/TUNING.md``.
-
-Two seams extend the scan beyond one pair on one array library:
-
-* **Array backend** — the tile ops (compare, mask, first-meet
-  reduction, row retirement) run through a
-  :class:`repro.core.backend.ArrayBackend`, never raw ``np.*``: tile
-  *assembly* (schedule closed forms, memmaps, environment masks) stays
-  on the host, ``from_host`` is the single transfer point into the
-  backend's array space, and an alternate library (GPU/SIMD) executes
-  the identical tiles by implementing the ~10-op protocol.
-* **Pair-major stacking** — :func:`ttr_sweep_pairs` flattens *many*
-  schedule pairs' deduped shift rows into one global row set and scans
-  them through shared tiles: one chunk loop amortizes the per-pair
-  dispatch, plan, and fixed-row work across an entire Table-1 cell
-  grid, with each row retiring independently under its own pair's
-  effective horizon.  Profiles are bit-identical to per-pair calls.
 """
 
 from __future__ import annotations
@@ -97,7 +85,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core import telemetry
-from repro.core.backend import ArrayBackend, resolve_backend
 from repro.core.environment import (
     Environment,
     effective_horizon,
@@ -107,7 +94,6 @@ from repro.core.schedule import Schedule
 
 __all__ = [
     "ttr_sweep_stream",
-    "ttr_sweep_stream_serial",
     "ttr_sweep_pairs",
     "reduce_shifts",
     "scatter_ttrs",
@@ -115,14 +101,7 @@ __all__ = [
     "plan_tiles",
     "cache_sizes",
     "SweepCheckpoint",
-    "DEFAULT_TILE_BYTES",
 ]
-
-#: Fixed byte budget of the serial reference scan's tiles (and the
-#: historical default of the streaming engine before the auto-tuner).
-#: 4 MiB keeps tiles inside typical L2/L3 while leaving room for the
-#: generated chunks.
-DEFAULT_TILE_BYTES = 1 << 22
 
 _INITIAL_TIME_BLOCK = 256
 _BYTES_PER_CELL = 8  # int64 channel ids
@@ -374,57 +353,50 @@ def _sweep_spec(
 class _CheckpointRecorder:
     """Shared, lock-guarded sweep state behind one checkpoint sink.
 
-    Owns the per-sign-group ``resolved`` / ``frontier`` arrays that a
-    snapshot serializes.  ``update`` is called from scan lanes at every
-    time-block boundary — the lock makes the read-modify-save atomic
-    across thread lanes, and blocks own disjoint rows so updates never
-    conflict on array contents, only on the save.
+    Owns the ``resolved`` / ``frontier`` columns of a one-job row
+    table, whose rows are sign group 0 (``s >= 0``) followed by sign
+    group 1 (``s < 0``); a snapshot serializes each group as its own
+    slice.  ``update`` is called from scan lanes at every time-block
+    boundary — the lock makes the read-modify-save atomic across thread
+    lanes, and blocks own disjoint rows so updates never conflict on
+    array contents, only on the save.
     """
 
     def __init__(
         self,
         sink: SweepCheckpoint,
         spec: str,
-        sizes: dict[int, int],
+        sizes: tuple[int, int],
         prior: dict | None,
     ):
         self._sink = sink
         self._spec = spec
         self._lock = threading.Lock()
         self._ticks = 0
-        self._groups = {
-            gid: {
-                "resolved": np.full(size, _UNRESOLVED, dtype=np.int64),
-                "frontier": np.zeros(size, dtype=np.int64),
-            }
-            for gid, size in sizes.items()
-        }
-        if prior is not None and prior.get("spec") == spec:
-            for gid, size in sizes.items():
-                stored = prior.get("groups", {}).get(str(gid))
-                if not isinstance(stored, dict):
-                    continue
-                resolved = stored.get("resolved")
-                frontier = stored.get("frontier")
-                if (
-                    isinstance(resolved, list)
-                    and isinstance(frontier, list)
-                    and len(resolved) == size
-                    and len(frontier) == size
-                ):
-                    group = self._groups[gid]
-                    group["resolved"] = np.asarray(resolved, dtype=np.int64)
-                    group["frontier"] = np.asarray(frontier, dtype=np.int64)
-
-    def seed(self, gid: int) -> tuple[np.ndarray, np.ndarray]:
-        """Copies of one group's ``(resolved, frontier)`` resume state."""
-        with self._lock:
-            group = self._groups[gid]
-            return group["resolved"].copy(), group["frontier"].copy()
+        cuts = np.cumsum((0,) + sizes)
+        self._slices = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+        self.resolved = np.full(cuts[-1], _UNRESOLVED, dtype=np.int64)
+        self.frontier = np.zeros(cuts[-1], dtype=np.int64)
+        if prior is None or prior.get("spec") != spec:
+            return
+        for gid, rows in enumerate(self._slices):
+            stored = prior.get("groups", {}).get(str(gid))
+            if not isinstance(stored, dict):
+                continue
+            resolved = stored.get("resolved")
+            frontier = stored.get("frontier")
+            size = rows.stop - rows.start
+            if (
+                isinstance(resolved, list)
+                and isinstance(frontier, list)
+                and len(resolved) == size
+                and len(frontier) == size
+            ):
+                self.resolved[rows] = resolved
+                self.frontier[rows] = frontier
 
     def update(
         self,
-        gid: int,
         done_rows: np.ndarray,
         done_vals: np.ndarray,
         live_rows: np.ndarray,
@@ -438,11 +410,8 @@ class _CheckpointRecorder:
         snapshot through the sink.
         """
         with self._lock:
-            group = self._groups[gid]
-            if done_rows.size:
-                group["resolved"][done_rows] = done_vals
-            if live_rows.size:
-                group["frontier"][live_rows] = frontier
+            self.resolved[done_rows] = done_vals
+            self.frontier[live_rows] = frontier
             self._ticks += 1
             if self._ticks % self._sink.interval_blocks == 0:
                 self._sink.save(self._serialize())
@@ -452,10 +421,10 @@ class _CheckpointRecorder:
             "spec": self._spec,
             "groups": {
                 str(gid): {
-                    "resolved": group["resolved"].tolist(),
-                    "frontier": group["frontier"].tolist(),
+                    "resolved": self.resolved[rows].tolist(),
+                    "frontier": self.frontier[rows].tolist(),
                 }
-                for gid, group in sorted(self._groups.items())
+                for gid, rows in enumerate(self._slices)
             },
         }
 
@@ -470,7 +439,6 @@ def ttr_sweep_stream(
     plan: TilePlan | None = None,
     checkpoint: SweepCheckpoint | None = None,
     environment: Environment | None = None,
-    backend: ArrayBackend | str | None = None,
 ) -> dict[int, int | None]:
     """TTR for every relative shift, streamed in worker-parallel tiles.
 
@@ -482,134 +450,40 @@ def ttr_sweep_stream(
     ``horizon`` slots.  Unlike the batched engine it never materializes
     a full period table, so it works at any period size.
 
-    Execution is the blocked scan described in the module docstring:
-    the deduped shift classes split into independent blocks that fan
-    out over ``workers`` thread lanes (``None``: one per CPU;
-    ``1``: inline, no pool).  ``tile_bytes`` pins the per-lane tile
-    budget (``None``: auto-tuned from the cache sizes); ``plan``
-    overrides the whole :class:`TilePlan` when full control is needed.
-    Results are invariant under every plan and worker count — blocks
-    own disjoint result rows, and each row's first-meet scan is
-    deterministic.  Either side may be a raw 1-D period array (e.g. a
-    read-only memmap attached from a
+    Execution is the row-table scan described in the module docstring,
+    over a table holding this one job: the deduped shift classes split
+    into independent blocks that fan out over ``workers`` thread lanes
+    (``None``: one per CPU; ``1``: inline, no pool).  ``tile_bytes``
+    pins the per-lane tile budget (``None``: auto-tuned from the cache
+    sizes); ``plan`` overrides the whole :class:`TilePlan` when full
+    control is needed.  Results are invariant under every plan and
+    worker count — blocks own disjoint result rows, and each row's
+    first-meet scan is deterministic.  Either side may be a raw 1-D
+    period array (e.g. a read-only memmap attached from a
     :class:`~repro.core.store.ScheduleStore`) — tiles are then sliced
     straight off the array, which for a memmap means straight off disk.
 
     ``checkpoint`` attaches a :class:`SweepCheckpoint` sink: the scan
     snapshots retired rows plus each live row's time frontier at block
     boundaries, and a rerun against an existing snapshot of the *same*
-    sweep resumes instead of restarting — resumed profiles are
-    bit-identical to uninterrupted ones (certified in tier-1 tests).
+    sweep resumes instead of restarting — resolved rows are answered
+    from the snapshot and live rows start at their recorded frontier,
+    so resumed profiles are bit-identical to uninterrupted ones
+    (certified in tier-1 tests).
 
     ``environment`` ANDs a deterministic per-slot validity mask
     (:mod:`repro.core.environment`) into every tile's coincidence
     compare, on the TTR clock; its digest joins the checkpoint spec so
     faulted and clean sweeps never cross-resume, and an aperiodic mask
     disables the lcm early-stop.
-
-    ``backend`` selects the array library executing the tile ops
-    (:func:`repro.core.backend.resolve_backend` spec: an instance, a
-    registered name, ``"module:attr"``, or ``None``/``"auto"`` for the
-    default).  Tiles are assembled on the host either way; only the
-    compare/mask/retire ops run on the backend, and every conforming
-    backend returns bit-identical profiles.
     """
     if tile_bytes is not None and tile_bytes <= 0:
         raise ValueError(f"tile_bytes must be positive, got {tile_bytes}")
-    xp = resolve_backend(backend)
-    a = _coerce_schedule(a)
-    b = _coerce_schedule(b)
-    shift_list = [int(s) for s in shifts]
-    if not shift_list:
-        return {}
-    if horizon <= 0:
-        return {s: None for s in shift_list}
-
+    job = (_coerce_schedule(a), _coerce_schedule(b), [int(s) for s in shifts])
     with telemetry.span("stream.sweep"):
-        unique_pairs, inverse = reduce_shifts(a, b, shift_list)
-        effective = effective_horizon(
-            horizon, math.lcm(a.period, b.period), environment
-        )
-        # Each shift pins one side's offset to zero, so the sign groups
-        # are profiled separately with the zero side as the broadcast row.
-        ttrs = np.empty(len(unique_pairs), dtype=np.int64)
-        negative = unique_pairs[:, 1] != 0
-        recorder = None
-        if checkpoint is not None:
-            recorder = _CheckpointRecorder(
-                checkpoint,
-                _sweep_spec(a, b, unique_pairs, effective, environment),
-                {0: int((~negative).sum()), 1: int(negative.sum())},
-                checkpoint.load(),
-            )
-        groups = ((~negative, a, b, 0), (negative, b, a, 1))
-        for gid, (group, var, fixed, column) in enumerate(groups):
-            if not group.any():
-                continue
-            group_plan = plan
-            if group_plan is None:
-                group_plan = plan_tiles(
-                    int(group.sum()), effective,
-                    workers=workers, tile_bytes=tile_bytes,
-                )
-            ttrs[group] = _stream_offsets(
-                var, fixed, unique_pairs[group, column], effective, group_plan,
-                recorder=recorder, gid=gid, environment=environment, xp=xp,
-            )
-        return scatter_ttrs(shift_list, ttrs, inverse)
-
-
-def ttr_sweep_stream_serial(
-    a: Schedule | np.ndarray,
-    b: Schedule | np.ndarray,
-    shifts: Iterable[int],
-    horizon: int,
-    tile_bytes: int = DEFAULT_TILE_BYTES,
-    environment: Environment | None = None,
-    backend: ArrayBackend | str | None = None,
-) -> dict[int, int | None]:
-    """The single-threaded reference scan of the streaming engine.
-
-    The original streaming implementation, kept verbatim: one thread,
-    a fixed ``tile_bytes`` budget, per-row chunk generation for sparse
-    shift blocks.  It is to :func:`ttr_sweep_stream` what the scalar
-    loop is to the batched engine — the independent reference the
-    parallel blocked scan is parity-certified against (bit-identical
-    per cell) and the baseline ``benchmarks/test_stream_sweep.py``
-    measures the intra-pair speedup from.  Production callers should
-    use :func:`ttr_sweep_stream`.  ``environment`` masks coincidences
-    exactly as on the production path, and ``backend`` selects the
-    array library for the tile ops exactly as there.
-    """
-    if tile_bytes <= 0:
-        raise ValueError(f"tile_bytes must be positive, got {tile_bytes}")
-    xp = resolve_backend(backend)
-    a = _coerce_schedule(a)
-    b = _coerce_schedule(b)
-    shift_list = [int(s) for s in shifts]
-    if not shift_list:
-        return {}
-    if horizon <= 0:
-        return {s: None for s in shift_list}
-
-    with telemetry.span("stream.sweep"):
-        unique_pairs, inverse = reduce_shifts(a, b, shift_list)
-        effective = effective_horizon(
-            horizon, math.lcm(a.period, b.period), environment
-        )
-        ttrs = np.empty(len(unique_pairs), dtype=np.int64)
-        negative = unique_pairs[:, 1] != 0
-        if (~negative).any():
-            ttrs[~negative] = _stream_offsets_serial(
-                a, b, unique_pairs[~negative, 0], effective, tile_bytes,
-                environment, xp,
-            )
-        if negative.any():
-            ttrs[negative] = _stream_offsets_serial(
-                b, a, unique_pairs[negative, 1], effective, tile_bytes,
-                environment, xp,
-            )
-        return scatter_ttrs(shift_list, ttrs, inverse)
+        return _sweep_jobs(
+            [job], [horizon], tile_bytes, workers, plan, environment, checkpoint
+        )[0]
 
 
 def ttr_sweep_pairs(
@@ -619,25 +493,18 @@ def ttr_sweep_pairs(
     workers: int | None = None,
     plan: TilePlan | None = None,
     environment: Environment | None = None,
-    backend: ArrayBackend | str | None = None,
 ) -> list[dict[int, int | None]]:
-    """Sweep many schedule pairs through one pair-major tile pass.
+    """Sweep many schedule pairs through one stacked tile pass.
 
     ``jobs`` is a sequence of ``(a, b, shifts)`` work items — e.g.
     every cell of a Table-1 grid — and ``horizon`` one shared horizon
     or a per-job sequence.  Each job's shifts are reduced to distinct
-    phase-offset pairs exactly as in :func:`ttr_sweep_stream`; the
-    deduped rows of *all* jobs are then stacked into one global
-    ``(pairs × shift-rows, width)`` tile stream: rows sort by (varying
-    schedule, offset) so each tile still gathers near-contiguous
-    chunks, the fixed side is generated once per distinct schedule per
-    time window and broadcast to its rows, and every row retires
-    independently under its own job's effective horizon (lcm
-    early-stop per pair; an aperiodic ``environment`` voids it for
-    all).  One chunk loop therefore amortizes the per-pair dispatch,
-    plan, and fixed-row work that a per-job loop pays ``len(jobs)``
-    times — the pair-major speedup ``benchmarks/test_pair_major.py``
-    gates on.
+    phase-offset pairs exactly as in :func:`ttr_sweep_stream`, and the
+    rows of *all* jobs share one row table: one chunk loop amortizes
+    the per-pair dispatch, plan, and fixed-row work that a per-job loop
+    pays ``len(jobs)`` times, and every row retires independently under
+    its own job's effective horizon (lcm early-stop per pair; an
+    aperiodic ``environment`` voids it for all).
 
     Returns one shift→TTR mapping per job, in input order, each
     bit-identical to ``ttr_sweep_stream(a, b, shifts, horizon)`` for
@@ -647,14 +514,12 @@ def ttr_sweep_pairs(
     :class:`~repro.core.store.ScheduleStore` memmap) share their
     fixed-row windows across all their rows.  ``tile_bytes`` /
     ``workers`` / ``plan`` tune the tiling exactly as in
-    :func:`ttr_sweep_stream` (blocks of rows fan out over thread
-    lanes); ``backend`` selects the array library for the tile ops.
-    Checkpointing is not supported on the pair-major path — resumable
-    sweeps go through per-pair :func:`ttr_sweep_stream`.
+    :func:`ttr_sweep_stream`.  Checkpointing is not supported on a
+    multi-job table — resumable sweeps go through per-pair
+    :func:`ttr_sweep_stream`.
     """
     if tile_bytes is not None and tile_bytes <= 0:
         raise ValueError(f"tile_bytes must be positive, got {tile_bytes}")
-    xp = resolve_backend(backend)
     job_list = [
         (_coerce_schedule(a), _coerce_schedule(b), [int(s) for s in shifts])
         for a, b, shifts in jobs
@@ -667,17 +532,55 @@ def ttr_sweep_pairs(
             )
     else:
         horizons = [int(horizon)] * len(job_list)
+    with telemetry.span("stream.pair_sweep"):
+        telemetry.count("stream.pair_jobs", len(job_list))
+        return _sweep_jobs(
+            job_list, horizons, tile_bytes, workers, plan, environment
+        )
 
-    results: list[dict[int, int | None] | None] = [None] * len(job_list)
-    # Per-row columns of the global stacked scan, concatenated job by
-    # job so each job's rows stay one contiguous slice of `result`.
+
+@dataclass(frozen=True)
+class _RowTable:
+    """The stream kernel's input: one row per deduped shift class.
+
+    Columns are parallel arrays over rows: ``var`` / ``fixed`` index
+    ``scheds`` (the schedule whose phase varies per shift and the one
+    pinned at phase zero), ``offset`` is the varying side's phase,
+    ``horizon`` the row's effective horizon, ``start`` the frontier its
+    scan resumes from, and ``run`` numbers the distinct ``(fixed,
+    var)`` pairs so a block's rows split into broadcast runs.
+    """
+
+    scheds: list[Schedule]
+    var: np.ndarray
+    fixed: np.ndarray
+    offset: np.ndarray
+    horizon: np.ndarray
+    start: np.ndarray
+    run: np.ndarray
+
+
+def _sweep_jobs(
+    jobs: list[tuple[Schedule, Schedule, list[int]]],
+    horizons: list[int],
+    tile_bytes: int | None,
+    workers: int | None,
+    plan: TilePlan | None,
+    environment: Environment | None,
+    checkpoint: SweepCheckpoint | None = None,
+) -> list[dict[int, int | None]]:
+    """Stack ``jobs`` into one :class:`_RowTable`, scan it, scatter back.
+
+    Each job's rows form one contiguous slice of the table: sign group
+    0 (``a`` varies, ``b`` pinned) first, then sign group 1 — the
+    layout a ``checkpoint`` (one job only) snapshots group by group.
+    """
+    results: list[dict[int, int | None] | None] = [None] * len(jobs)
     scheds: list[Schedule] = []
     sid_by_obj: dict[int, int] = {}
-    col_var: list[np.ndarray] = []
-    col_fixed: list[np.ndarray] = []
-    col_off: list[np.ndarray] = []
-    col_h: list[np.ndarray] = []
-    spans: list[tuple[int, int, list[int], np.ndarray] | None] = [None] * len(job_list)
+    columns: list[tuple[np.ndarray, ...]] = []
+    slices = []
+    recorder = None
     cursor = 0
 
     def sid(schedule: Schedule) -> int:
@@ -687,158 +590,189 @@ def ttr_sweep_pairs(
             scheds.append(schedule)
         return sid_by_obj[key]
 
-    with telemetry.span("stream.pair_sweep"):
-        telemetry.count("stream.pair_jobs", len(job_list))
-        for j, ((a, b, shift_list), h) in enumerate(zip(job_list, horizons)):
-            if not shift_list:
-                results[j] = {}
-                continue
-            if h <= 0:
-                results[j] = {s: None for s in shift_list}
-                continue
-            unique_pairs, inverse = reduce_shifts(a, b, shift_list)
-            effective = effective_horizon(
-                h, math.lcm(a.period, b.period), environment
+    for j, ((a, b, shift_list), h) in enumerate(zip(jobs, horizons)):
+        if not shift_list:
+            results[j] = {}
+            continue
+        if h <= 0:
+            results[j] = {s: None for s in shift_list}
+            continue
+        unique_pairs, inverse = reduce_shifts(a, b, shift_list)
+        effective = effective_horizon(h, math.lcm(a.period, b.period), environment)
+        negative = unique_pairs[:, 1] != 0
+        order = np.argsort(negative, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        neg = negative[order]
+        sid_a, sid_b = sid(a), sid(b)
+        columns.append((
+            np.where(neg, sid_b, sid_a),
+            np.where(neg, sid_a, sid_b),
+            np.where(neg, unique_pairs[order, 1], unique_pairs[order, 0]),
+            np.full(order.size, effective, dtype=np.int64),
+        ))
+        slices.append((j, cursor, cursor + order.size, shift_list, rank[inverse]))
+        cursor += order.size
+        if checkpoint is not None:
+            recorder = _CheckpointRecorder(
+                checkpoint,
+                _sweep_spec(a, b, unique_pairs, effective, environment),
+                (int((~negative).sum()), int(negative.sum())),
+                checkpoint.load(),
             )
-            negative = unique_pairs[:, 1] != 0
-            sid_a, sid_b = sid(a), sid(b)
-            n = len(unique_pairs)
-            col_var.append(np.where(negative, sid_b, sid_a))
-            col_fixed.append(np.where(negative, sid_a, sid_b))
-            col_off.append(
-                np.where(negative, unique_pairs[:, 1], unique_pairs[:, 0])
-            )
-            col_h.append(np.full(n, effective, dtype=np.int64))
-            spans[j] = (cursor, cursor + n, shift_list, inverse)
-            cursor += n
 
-        if cursor:
-            g_var = np.concatenate(col_var).astype(np.int64)
-            g_fixed = np.concatenate(col_fixed).astype(np.int64)
-            g_off = np.concatenate(col_off).astype(np.int64)
-            g_h = np.concatenate(col_h)
-            result = np.full(cursor, -1, dtype=np.int64)
-            max_h = int(g_h.max())
-            scan_plan = plan
-            if scan_plan is None:
-                scan_plan = plan_tiles(
-                    cursor, max_h, workers=workers, tile_bytes=tile_bytes
-                )
-            # Sorted by (varying schedule, offset): each tile's rows for
-            # one schedule gather from near-contiguous windows, exactly
-            # the locality the single-pair scan gets from its argsort.
-            order = np.lexsort((g_off, g_var))
-            blocks = [
-                order[lo : lo + scan_plan.block_rows]
-                for lo in range(0, order.size, scan_plan.block_rows)
-            ]
-            fixed_caches = {
-                fid: _FixedRowCache(scheds[fid], scan_plan.cells)
-                for fid in np.unique(g_fixed).tolist()
-            }
-            lanes = min(scan_plan.workers, len(blocks))
-            if lanes > 1:
-                with ThreadPoolExecutor(max_workers=lanes) as pool:
-                    futures = [
-                        pool.submit(
-                            _scan_pair_block, scheds, g_var, g_fixed, g_off,
-                            g_h, block, scan_plan.cells, fixed_caches, result,
-                            environment, xp,
-                        )
-                        for block in blocks
-                    ]
-                    for future in futures:
-                        future.result()
-            else:
-                for block in blocks:
-                    _scan_pair_block(
-                        scheds, g_var, g_fixed, g_off, g_h, block,
-                        scan_plan.cells, fixed_caches, result, environment, xp,
-                    )
-
-        for j, span in enumerate(spans):
-            if span is None:
-                continue
-            start, stop, shift_list, inverse = span
-            results[j] = scatter_ttrs(shift_list, result[start:stop], inverse)
+    if cursor:
+        var, fixed, offset, horizon = (
+            np.concatenate(column).astype(np.int64) for column in zip(*columns)
+        )
+        result = np.full(cursor, -1, dtype=np.int64)
+        start = np.zeros(cursor, dtype=np.int64)
+        pending = np.ones(cursor, dtype=bool)
+        if recorder is not None:
+            pending = recorder.resolved == _UNRESOLVED
+            result[~pending] = recorder.resolved[~pending]
+            start = recorder.frontier.copy()
+        run_ids = np.unique(fixed * len(scheds) + var, return_inverse=True)[1]
+        table = _RowTable(
+            scheds, var, fixed, offset, horizon, start, run_ids.reshape(-1)
+        )
+        order = np.lexsort((offset, var, fixed))
+        _scan(
+            table, order[pending[order]], result, tile_bytes, workers, plan,
+            environment, recorder,
+        )
+        for j, lo, hi, shift_list, inverse in slices:
+            results[j] = scatter_ttrs(shift_list, result[lo:hi], inverse)
     return results
 
 
-def _scan_pair_block(
-    scheds: list[Schedule],
-    var_sid: np.ndarray,
-    fixed_sid: np.ndarray,
-    offsets: np.ndarray,
-    horizons: np.ndarray,
+def _scan(
+    table: _RowTable,
+    rows: np.ndarray,
+    result: np.ndarray,
+    tile_bytes: int | None,
+    workers: int | None,
+    plan: TilePlan | None,
+    environment: Environment | None,
+    recorder: _CheckpointRecorder | None,
+) -> None:
+    """Plan tiles for ``rows`` (sorted table indices) and scan them.
+
+    The one planning site of the stream engine: it records the chosen
+    plan as ``stream.plan.*`` gauges and the scanned row count as the
+    ``stream.rows`` counter, cuts ``rows`` into ``block_rows``-wide
+    blocks, and runs :func:`_scan_block` on each — inline on one lane,
+    on a thread pool otherwise.
+    """
+    if rows.size == 0:
+        return
+    if plan is None:
+        plan = plan_tiles(
+            rows.size, int(table.horizon[rows].max()),
+            workers=workers, tile_bytes=tile_bytes,
+        )
+    blocks = [
+        rows[lo : lo + plan.block_rows]
+        for lo in range(0, rows.size, plan.block_rows)
+    ]
+    lanes = min(plan.workers, len(blocks))
+    telemetry.gauge("stream.plan.tile_bytes", plan.tile_bytes)
+    telemetry.gauge("stream.plan.block_rows", plan.block_rows)
+    telemetry.gauge("stream.plan.workers", lanes)
+    telemetry.count("stream.rows", rows.size)
+    fixed_rows = {
+        fid: _FixedRowCache(table.scheds[fid], plan.cells)
+        for fid in np.unique(table.fixed[rows]).tolist()
+    }
+    args = (table, plan.cells, fixed_rows, result, environment, recorder)
+    if lanes > 1:
+        with ThreadPoolExecutor(max_workers=lanes) as pool:
+            futures = [pool.submit(_scan_block, block, *args) for block in blocks]
+            for future in futures:
+                future.result()
+    else:
+        for block in blocks:
+            _scan_block(block, *args)
+
+
+def _scan_block(
     block: np.ndarray,
+    table: _RowTable,
     cells: int,
-    fixed_caches: dict[int, _FixedRowCache],
+    fixed_rows: dict[int, _FixedRowCache],
     result: np.ndarray,
     environment: Environment | None,
-    xp: ArrayBackend,
+    recorder: _CheckpointRecorder | None,
 ) -> None:
-    """First-meet scan of one pair-major row block.
+    """First-meet scan of one independent shift block.
 
-    ``block`` holds indices into the global row arrays, sorted by
-    (varying schedule, offset) so each contiguous run of one schedule
-    id feeds :func:`_gather_tile` ascending offsets.  The per-chunk
-    tile stacks every live row: the varying side gathers one run per
-    schedule, the fixed side one cached window per distinct schedule
-    broadcast to its rows.  Rows carry *per-row* horizons — a row past
-    its own effective horizon retires as a miss even while rows of
-    longer-horizon jobs keep scanning, and a horizon mask clips hits in
-    the boundary chunk so a hit beyond a row's horizon never counts.
-    Blocks write disjoint ``result`` rows, so lanes compose race-free.
+    ``block`` holds row indices sorted by (fixed, var, offset), so each
+    broadcast run — rows sharing one ``(fixed, var)`` pair — is
+    contiguous and feeds :func:`_gather_tile` ascending offsets.  Per
+    time window, every run gathers its varying rows (clipped to the
+    run's longest horizon) and compares them against one fixed row;
+    ``environment`` ANDs its mask in (channels from the varying side,
+    slots on the TTR clock), and a horizon mask clips hits past a
+    row's own horizon.  Rows retire on their first meet (``result``
+    gets the slot) or at their horizon (``result`` keeps ``-1``); the
+    window doubles as rows retire so the scan finishes in
+    O(log horizon) passes within the ``cells`` budget.  The scan starts
+    at the block's smallest start frontier — every row was scanned
+    hit-free up to its own, so rescanning earlier slots changes
+    nothing — and ``recorder`` receives retirements and frontier
+    advances at every window boundary.  Blocks write disjoint
+    ``result`` rows, so lanes compose race-free.
     """
     remaining = block
-    t0 = 0
-    max_h = int(horizons[block].max())
-    length = min(_INITIAL_TIME_BLOCK, max_h, max(1, cells // remaining.size))
-    while t0 < max_h and remaining.size:
-        t1 = min(t0 + length, max_h)
-        width = t1 - t0
+    t0 = int(table.start[block].min())
+    length = min(
+        _INITIAL_TIME_BLOCK, int(table.horizon[block].max()),
+        max(1, cells // block.size),
+    )
+    while remaining.size:
+        row_h = table.horizon[remaining]
+        t1 = min(t0 + length, int(row_h.max()))
+        edges = [0, *(np.flatnonzero(np.diff(table.run[remaining])) + 1).tolist()]
+        runs = list(zip(edges, edges[1:] + [remaining.size]))
         with telemetry.span("stream.tile_assembly") as tile_span:
-            rows = np.empty((remaining.size, width), dtype=np.int64)
-            sids = var_sid[remaining]
-            bounds = np.flatnonzero(np.diff(sids)) + 1
-            run_edges = np.concatenate(([0], bounds, [sids.size]))
-            for lo, hi in zip(run_edges[:-1], run_edges[1:]):
-                rows[lo:hi] = _gather_tile(
-                    scheds[int(sids[lo])], offsets[remaining[lo:hi]], t0, width
-                )
-            fixed_tile = np.empty_like(rows)
-            fsids = fixed_sid[remaining]
-            for fid in np.unique(fsids).tolist():
-                fixed_tile[fsids == fid] = fixed_caches[fid].row(t0, t1)
-            tile_span.add_bytes(rows.nbytes + fixed_tile.nbytes)
+            tiles = []
+            for lo, hi in runs:
+                head = remaining[lo]
+                stop = min(t1, int(row_h[lo:hi].max()))
+                tiles.append((
+                    _gather_tile(
+                        table.scheds[table.var[head]],
+                        table.offset[remaining[lo:hi]], t0, stop - t0,
+                    ),
+                    fixed_rows[int(table.fixed[head])].row(t0, t1)[: stop - t0],
+                ))
+            tile_span.add_bytes(sum(tile.nbytes for tile, _ in tiles))
         with telemetry.span("stream.compare"):
-            eq = xp.equal(xp.from_host(rows), xp.from_host(fixed_tile))
+            eq = np.empty((remaining.size, t1 - t0), dtype=bool)
+            for (lo, hi), (tile, fixed_row) in zip(runs, tiles):
+                width = fixed_row.size
+                np.equal(tile, fixed_row, out=eq[lo:hi, :width])
+                eq[lo:hi, width:] = False
         if environment is not None:
             with telemetry.span("stream.mask"):
-                mask = environment.slot_mask(
-                    rows, np.arange(t0, t1, dtype=np.int64)
-                )
-                eq = xp.logical_and(eq, xp.from_host(mask))
-        row_h = horizons[remaining]
+                slots = np.arange(t0, t1, dtype=np.int64)
+                for (lo, hi), (tile, fixed_row) in zip(runs, tiles):
+                    width = fixed_row.size
+                    eq[lo:hi, :width] &= environment.slot_mask(tile, slots[:width])
         if int(row_h.min()) < t1:
-            # Boundary chunk for some short-horizon row: clip its cells
+            # Boundary window for some short-horizon row: clip its cells
             # beyond the horizon so a later coincidence never counts.
             with telemetry.span("stream.mask"):
-                hmask = (
-                    np.arange(t0, t1, dtype=np.int64)[np.newaxis, :]
-                    < row_h[:, np.newaxis]
-                )
-                eq = xp.logical_and(eq, xp.from_host(hmask))
+                eq &= np.arange(t0, t1)[np.newaxis, :] < row_h[:, np.newaxis]
         with telemetry.span("stream.retire"):
-            hit = xp.to_host(xp.any(eq, axis=1))
-            hit_rows = remaining[hit]
-            if hit_rows.size:
-                first = xp.to_host(
-                    xp.argmax(xp.take(eq, np.flatnonzero(hit), axis=0), axis=1)
-                )
-                result[hit_rows] = t0 + first
-            # Rows that reached their own horizon hit-free stay -1.
-            remaining = remaining[~hit & (row_h > t1)]
+            hit = eq.any(axis=1)
+            if hit.any():
+                result[remaining[hit]] = t0 + eq[hit].argmax(axis=1)
+            live = ~hit & (row_h > t1)
+            if recorder is not None:
+                done = remaining[~live]
+                recorder.update(done, result[done], remaining[live], t1)
+            remaining = remaining[live]
         t0 = t1
         length = min(length * 2, max(1, cells // max(remaining.size, 1)))
 
@@ -928,8 +862,7 @@ def _gather_tile(
     contiguous chunk is generated and the rows are strided window views
     of it; sparse blocks assemble the whole ``(rows, width)`` index
     matrix and fetch it in a single vectorized ``channel_gather`` call
-    — the per-row Python dispatch this replaces is what dominated the
-    serial reference scan on strided Table-1 sweeps.
+    instead of one Python-level call per row.
     """
     base = int(offsets[0])
     span = int(offsets[-1]) - base + width
@@ -939,233 +872,3 @@ def _gather_tile(
     starts = offsets[:, np.newaxis] + t0
     window = np.arange(width, dtype=np.int64)[np.newaxis, :]
     return np.asarray(schedule.channel_gather(starts + window))
-
-
-def _scan_block(
-    var: Schedule,
-    offsets: np.ndarray,
-    block: np.ndarray,
-    horizon: int,
-    cells: int,
-    fixed_rows: _FixedRowCache,
-    result: np.ndarray,
-    start: int = 0,
-    recorder: _CheckpointRecorder | None = None,
-    gid: int = 0,
-    environment: Environment | None = None,
-    xp: ArrayBackend | None = None,
-) -> None:
-    """First-meet scan of one independent shift block.
-
-    ``block`` holds indices into ``offsets``/``result`` (ascending by
-    offset); the scan writes only those rows of ``result``, so blocks
-    compose race-free across thread lanes.  Per-row semantics are
-    identical to the serial reference scan: geometric time-block
-    growth, first-meet retirement, ``-1`` for a miss.  ``start`` is the
-    resume cursor — slots before it were already scanned hit-free for
-    every row of the block — and ``recorder`` (with its sign-group id
-    ``gid``) receives retirements and frontier advances at every
-    time-block boundary.  ``environment`` ANDs its validity mask into
-    each tile's compare (channels from the varying side, slots on the
-    TTR clock).  ``xp`` is the array backend executing the tile ops;
-    tiles are assembled host-side and enter it through ``from_host``.
-    """
-    if xp is None:
-        xp = resolve_backend(None)
-    remaining = block
-    t0 = start
-    length = min(_INITIAL_TIME_BLOCK, horizon, max(1, cells // remaining.size))
-    while t0 < horizon and remaining.size:
-        t1 = min(t0 + length, horizon)
-        width = t1 - t0
-        with telemetry.span("stream.tile_assembly") as tile_span:
-            rows = _gather_tile(var, offsets[remaining], t0, width)
-            fixed_row = fixed_rows.row(t0, t1)
-            tile_span.add_bytes(rows.nbytes)
-        with telemetry.span("stream.compare"):
-            eq = xp.equal(
-                xp.from_host(rows), xp.from_host(fixed_row[np.newaxis, :])
-            )
-        if environment is not None:
-            with telemetry.span("stream.mask"):
-                mask = environment.slot_mask(
-                    rows, np.arange(t0, t1, dtype=np.int64)
-                )
-                eq = xp.logical_and(eq, xp.from_host(mask))
-        with telemetry.span("stream.retire"):
-            hit = xp.to_host(xp.any(eq, axis=1))
-            hit_rows = remaining[hit]
-            if hit_rows.size:
-                first = xp.to_host(
-                    xp.argmax(xp.take(eq, np.flatnonzero(hit), axis=0), axis=1)
-                )
-                result[hit_rows] = t0 + first
-                remaining = remaining[~hit]
-        t0 = t1
-        if recorder is not None:
-            recorder.update(gid, hit_rows, result[hit_rows], remaining, t0)
-        # Survivors are the slow rows: widen the window so the scan
-        # finishes in O(log horizon) passes within the budget.
-        length = min(length * 2, max(1, cells // max(remaining.size, 1)))
-    if recorder is not None and remaining.size:
-        # Rows that reached the horizon hit-free are certified misses.
-        recorder.update(gid, remaining, result[remaining], remaining[:0], horizon)
-
-
-def _stream_offsets(
-    var: Schedule,
-    fixed: Schedule,
-    offsets: np.ndarray,
-    horizon: int,
-    plan: TilePlan,
-    recorder: _CheckpointRecorder | None = None,
-    gid: int = 0,
-    environment: Environment | None = None,
-    xp: ArrayBackend | None = None,
-) -> np.ndarray:
-    """First-coincidence slot per offset, via the blocked parallel scan.
-
-    ``var`` is the schedule whose phase varies per shift (windows start
-    at ``offset``), ``fixed`` the one pinned at phase zero; ``-1``
-    marks a miss within ``horizon``.  The sorted offset order is cut
-    into ``plan.block_rows``-wide blocks; each block scans
-    independently (one lane inline, ``plan.workers`` thread lanes
-    otherwise) and writes its own disjoint result rows.
-
-    With a ``recorder``, rows the checkpoint already resolved are
-    answered from it and excluded from the scan; the surviving rows
-    re-block freely and each block resumes from the smallest frontier
-    among its rows — a row is never rescanned past its own first meet,
-    so resumed results stay bit-identical.
-    """
-    num = offsets.size
-    result = np.full(num, -1, dtype=np.int64)
-    if num == 0:
-        return result
-    starts = np.zeros(num, dtype=np.int64)
-    pending = np.ones(num, dtype=bool)
-    if recorder is not None:
-        resolved, frontier = recorder.seed(gid)
-        done = resolved != _UNRESOLVED
-        result[done] = resolved[done]
-        pending = ~done
-        starts = frontier
-    # Ascending by offset so each tile's rows gather from one
-    # near-contiguous chunk when possible.
-    order = np.argsort(offsets, kind="stable")
-    order = order[pending[order]]
-    if order.size == 0:
-        return result
-    blocks = [
-        order[lo : lo + plan.block_rows]
-        for lo in range(0, order.size, plan.block_rows)
-    ]
-    fixed_rows = _FixedRowCache(fixed, plan.cells)
-    lanes = min(plan.workers, len(blocks))
-    if lanes > 1:
-        with ThreadPoolExecutor(max_workers=lanes) as pool:
-            futures = [
-                pool.submit(
-                    _scan_block, var, offsets, block, horizon, plan.cells,
-                    fixed_rows, result, int(starts[block].min()), recorder, gid,
-                    environment, xp,
-                )
-                for block in blocks
-            ]
-            for future in futures:
-                future.result()
-    else:
-        for block in blocks:
-            _scan_block(
-                var, offsets, block, horizon, plan.cells, fixed_rows, result,
-                int(starts[block].min()), recorder, gid, environment, xp,
-            )
-    return result
-
-
-def _gather_rows_serial(
-    schedule: Schedule, offsets: np.ndarray, t0: int, width: int
-) -> np.ndarray:
-    """The reference scan's row gather: contiguous chunk or per-row calls.
-
-    ``offsets`` must be sorted ascending.  When the block's offsets are
-    close together (span no larger than the rows matrix itself), one
-    contiguous chunk is generated and the rows are strided window views
-    of it; sparse blocks generate each row independently so the chunk
-    never outgrows the tile budget.
-    """
-    base = int(offsets[0])
-    span = int(offsets[-1]) - base + width
-    if span <= offsets.size * width:
-        chunk = np.asarray(schedule.channel_block(base + t0, base + t0 + span))
-        return sliding_window_view(chunk, width)[offsets - base]
-    return np.stack(
-        [
-            np.asarray(schedule.channel_block(int(off) + t0, int(off) + t0 + width))
-            for off in offsets
-        ]
-    )
-
-
-def _stream_offsets_serial(
-    var: Schedule,
-    fixed: Schedule,
-    offsets: np.ndarray,
-    horizon: int,
-    tile_bytes: int,
-    environment: Environment | None = None,
-    xp: ArrayBackend | None = None,
-) -> np.ndarray:
-    """The reference scan: one thread, fixed budget, per-row gathers.
-
-    ``var`` is the schedule whose phase varies per shift (windows start
-    at ``offset``), ``fixed`` the one pinned at phase zero; ``-1``
-    marks a miss within ``horizon``.  ``environment`` masks each tile's
-    compare exactly as on the blocked path, and ``xp`` is the array
-    backend executing the tile ops.
-    """
-    if xp is None:
-        xp = resolve_backend(None)
-    num = offsets.size
-    result = np.full(num, -1, dtype=np.int64)
-    cells = max(1, tile_bytes // _BYTES_PER_CELL)
-    shift_block = max(1, cells // _INITIAL_TIME_BLOCK)
-    order = np.argsort(offsets, kind="stable")
-    fixed_rows = _FixedRowCache(fixed, cells)
-
-    for lo in range(0, num, shift_block):
-        remaining = order[lo : lo + shift_block]
-        t0 = 0
-        length = min(
-            _INITIAL_TIME_BLOCK, horizon, max(1, cells // remaining.size)
-        )
-        while t0 < horizon and remaining.size:
-            t1 = min(t0 + length, horizon)
-            width = t1 - t0
-            with telemetry.span("stream.tile_assembly") as tile_span:
-                rows = _gather_rows_serial(var, offsets[remaining], t0, width)
-                fixed_row = fixed_rows.row(t0, t1)
-                tile_span.add_bytes(rows.nbytes)
-            with telemetry.span("stream.compare"):
-                eq = xp.equal(
-                    xp.from_host(rows), xp.from_host(fixed_row[np.newaxis, :])
-                )
-            if environment is not None:
-                with telemetry.span("stream.mask"):
-                    mask = environment.slot_mask(
-                        rows, np.arange(t0, t1, dtype=np.int64)
-                    )
-                    eq = xp.logical_and(eq, xp.from_host(mask))
-            with telemetry.span("stream.retire"):
-                hit = xp.to_host(xp.any(eq, axis=1))
-                if hit.any():
-                    first = xp.to_host(
-                        xp.argmax(
-                            xp.take(eq, np.flatnonzero(hit), axis=0), axis=1
-                        )
-                    )
-                    result[remaining[hit]] = t0 + first
-                    remaining = remaining[~hit]
-            t0 = t1
-            length = min(length * 2, max(1, cells // max(remaining.size, 1)))
-    return result

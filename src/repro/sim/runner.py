@@ -55,7 +55,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core import telemetry
-from repro.core.backend import ArrayBackend, resolve_backend
 from repro.core.batch import ENGINES, ttr_sweep, ttr_sweep_pairs
 from repro.core.environment import Environment, environment_digest, parse_environment
 from repro.core.results import ResultStore, pair_query, result_digest
@@ -161,20 +160,14 @@ class SweepRunner:
     ``n >= 128``) sweep transparently; forcing ``"stream"`` or
     ``"batched"`` pins the path, and every engine is bit-identical.
 
-    **Backend & pair-major contract.** ``backend`` selects the array
-    library executing the streaming tile ops (a
-    :func:`repro.core.backend.resolve_backend` spec, threaded through
-    every sweep including pool workers, which receive the spec — or a
-    registered instance's name — in their payload).  ``pair_major``
-    controls pair-major stacking on the *serial* path: ``"auto"`` (the
-    default) batches every uncached pair of a multi-pair job into one
-    :func:`repro.core.batch.ttr_sweep_pairs` tile pass whenever the
-    streaming engine is reachable and no checkpoint directory is
-    attached; ``True`` requires that configuration (raising otherwise);
-    ``False`` keeps the per-pair loop.  Stacked results are
-    bit-identical to per-pair ones, cache consultation and write-
-    through per pair included; the process-pool path is per-pair
-    regardless (each worker owns disjoint pairs already).
+    **Stacking contract.** A *serial* job of two or more pairs, with
+    ``engine`` ``"auto"`` or ``"stream"`` and no checkpoint directory,
+    runs every uncached pair through one
+    :func:`repro.core.batch.ttr_sweep_pairs` tile pass instead of one
+    engine dispatch per pair.  Stacked results are bit-identical to
+    per-pair ones, cache consultation and write-through per pair
+    included; the process-pool path is per-pair regardless (each worker
+    owns disjoint pairs already).
 
     **Process-pool contract.** ``measure_instance`` stays serial below
     ``MIN_PARALLEL_PAIRS`` pairs or when ``workers <= 1`` — there the
@@ -244,8 +237,6 @@ class SweepRunner:
         results: ResultStore | str | os.PathLike | None = None,
         checkpoint_dir: str | os.PathLike | None = None,
         environment: Environment | str | None = None,
-        backend: ArrayBackend | str | None = "auto",
-        pair_major: bool | str = "auto",
     ):
         self.workers = os.cpu_count() or 1 if workers is None else max(1, workers)
         if store is not None and not isinstance(store, ScheduleStore):
@@ -269,31 +260,6 @@ class SweepRunner:
         if isinstance(environment, str):
             environment = parse_environment(environment)
         self.environment = environment
-        # Resolve eagerly so a bad spec fails here, not mid-sweep; the
-        # original spec is kept for picklable worker payloads.
-        resolved = resolve_backend(backend)
-        if resolved.name != "numpy" and engine not in ("auto", "stream"):
-            raise ValueError(
-                f"backend {resolved.name!r} needs the streaming engine, "
-                f"got engine={engine!r}"
-            )
-        self.backend = backend
-        if pair_major not in (True, False, "auto"):
-            raise ValueError(
-                f"pair_major must be True, False, or 'auto', got {pair_major!r}"
-            )
-        if pair_major is True:
-            if engine not in ("auto", "stream"):
-                raise ValueError(
-                    "pair-major stacking needs the streaming engine, "
-                    f"got engine={engine!r}"
-                )
-            if checkpoint_dir is not None:
-                raise ValueError(
-                    "pair-major stacking does not support checkpointing; "
-                    "use pair_major=False with checkpoint_dir"
-                )
-        self.pair_major = pair_major
         self._schedules: dict[
             tuple[frozenset[int], int, str, int], Schedule
         ] = {}
@@ -426,7 +392,6 @@ class SweepRunner:
                 a, b, plan, horizon, engine=self.engine,
                 tile_bytes=self.tile_bytes, stream_workers=stream_workers,
                 checkpoint=checkpoint, environment=self.environment,
-                backend=self.backend,
             )
             measured = self._finalize_pair(
                 instance, algorithm, pair, horizon, plan, profile, query
@@ -447,8 +412,7 @@ class SweepRunner:
     ) -> MeasuredPair:
         """Aggregate one pair's profile and write it through the cache.
 
-        Shared tail of :meth:`measure_pair` and the pair-major stacked
-        path: tally misses (raising on a clean-run miss, counting them
+        Shared tail of :meth:`measure_pair` and the stacked path: tally misses (raising on a clean-run miss, counting them
         under a fault environment), summarize the samples, and persist
         the measurement when a result store is attached.
         """
@@ -569,17 +533,12 @@ class SweepRunner:
             checkpoint_handle = (
                 None if self.checkpoint_dir is None else str(self.checkpoint_dir)
             )
-            backend_spec = (
-                self.backend.name
-                if isinstance(self.backend, ArrayBackend)
-                else self.backend
-            )
             payloads = [
                 (
                     instance, algorithm, pair, horizon, dense, probes, seed,
                     store_handle, self.engine, self.tile_bytes, stream_lanes,
                     results_handle, checkpoint_handle, self.environment,
-                    backend_spec, telemetry.enabled(),
+                    telemetry.enabled(),
                 )
                 for pair in pairs
             ]
@@ -600,7 +559,7 @@ class SweepRunner:
             return [measured for measured, _ in outcomes]
         with telemetry.span("runner.serial"):
             telemetry.count("runner.serial_pairs", len(pairs))
-            if self._use_pair_major(len(pairs)):
+            if self._stacks(len(pairs)):
                 return self._measure_pairs_stacked(
                     instance, algorithm, pairs, horizon,
                     dense=dense, probes=probes, seed=seed,
@@ -615,23 +574,18 @@ class SweepRunner:
                 for pair in pairs
             ]
 
-    def _use_pair_major(self, num_pairs: int) -> bool:
-        """Whether a serial job of ``num_pairs`` pairs scans pair-major.
+    def _stacks(self, num_pairs: int) -> bool:
+        """Whether a serial job of ``num_pairs`` pairs runs stacked.
 
-        ``pair_major=False`` never stacks; ``True`` always does (the
-        incompatible configurations were rejected at construction);
-        ``"auto"`` stacks whenever stacking is available — the
-        streaming engine reachable (``engine`` auto or stream), no
-        checkpoint directory (the stacked scan is not resumable) — and
-        there is more than one pair to amortize across.
+        Stacking needs the streaming engine reachable (``engine`` auto
+        or stream) and no checkpoint directory (the stacked scan is not
+        resumable), and pays off from two pairs on.
         """
-        if self.pair_major is False:
-            return False
-        if self.checkpoint_dir is not None or self.engine not in ("auto", "stream"):
-            return False
-        if self.pair_major is True:
-            return True
-        return num_pairs >= 2
+        return (
+            num_pairs >= 2
+            and self.checkpoint_dir is None
+            and self.engine in ("auto", "stream")
+        )
 
     def _measure_pairs_stacked(
         self,
@@ -644,7 +598,7 @@ class SweepRunner:
         seed: int,
         stream_lanes: int,
     ) -> list[MeasuredPair]:
-        """Measure a serial job through one pair-major tile pass.
+        """Measure a serial job through one stacked tile pass.
 
         Per-pair bookkeeping is unchanged from :meth:`measure_pair` —
         the result cache is consulted first (warm pairs never enter the
@@ -689,7 +643,7 @@ class SweepRunner:
             profiles = ttr_sweep_pairs(
                 jobs, horizon, engine=self.engine,
                 tile_bytes=self.tile_bytes, stream_workers=stream_lanes,
-                environment=self.environment, backend=self.backend,
+                environment=self.environment,
             )
             for (idx, pair, plan, query), profile in zip(meta, profiles):
                 measured[idx] = self._finalize_pair(
@@ -758,13 +712,11 @@ def _measure_pair_task(payload: tuple) -> tuple[MeasuredPair, dict | None]:
     (
         instance, algorithm, pair, horizon, dense, probes, seed,
         store_handle, engine, tile_bytes, stream_lanes,
-        results_handle, checkpoint_handle, environment, backend_spec,
-        telemetry_on,
+        results_handle, checkpoint_handle, environment, telemetry_on,
     ) = payload
     runner_key = (
         store_handle, engine, tile_bytes, stream_lanes,
         results_handle, checkpoint_handle, environment_digest(environment),
-        backend_spec,
     )
     runner = _WORKER_RUNNERS.get(runner_key)
     if runner is None:
@@ -782,7 +734,6 @@ def _measure_pair_task(payload: tuple) -> tuple[MeasuredPair, dict | None]:
             workers=1, store=store, engine=engine, tile_bytes=tile_bytes,
             stream_workers=stream_lanes, results=results,
             checkpoint_dir=checkpoint_handle, environment=environment,
-            backend=backend_spec,
         )
         _WORKER_RUNNERS[runner_key] = runner
     if not telemetry_on:

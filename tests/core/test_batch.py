@@ -242,12 +242,6 @@ class TestChooseEngine:
         a, b = self._cold_pair()
         assert batch.choose_engine(a, b, 10, checkpoint=True) == "stream"
 
-    def test_non_numpy_backend_forces_stream(self):
-        a, b = self._cold_pair()
-        a.period_table(), b.period_table()
-        assert batch.choose_engine(a, b, 10, backend="recording") == "stream"
-        assert batch.choose_engine(a, b, 10, backend="numpy") != "stream"
-
     def test_tiny_joint_period_goes_scalar(self):
         assert (
             batch.choose_engine(CyclicSchedule([1, 2]), CyclicSchedule([2, 1]), 4)
@@ -316,7 +310,7 @@ class TestChooseEngine:
 
 
 class TestTtrSweepPairsDispatcher:
-    """batch.ttr_sweep_pairs: one pair-major pass, per-job parity."""
+    """batch.ttr_sweep_pairs: one stacked pass, per-job parity."""
 
     def _jobs(self):
         instance = random_subsets(16, 4, 3, seed=9)
@@ -356,11 +350,9 @@ class TestTtrSweepPairsDispatcher:
         with pytest.raises(ValueError, match="horizons for"):
             batch.ttr_sweep_pairs(jobs, [100])
 
-    def test_bad_engine_and_backend_combinations_raise(self):
+    def test_unknown_engine_raises(self):
         jobs = self._jobs()[:1]
         with pytest.raises(ValueError, match="unknown engine"):
             batch.ttr_sweep_pairs(jobs, 100, engine="warp")
-        with pytest.raises(ValueError, match="streaming engine"):
-            batch.ttr_sweep_pairs(jobs, 100, engine="batched", backend="recording")
-        with pytest.raises(ValueError, match="streaming engine"):
-            batch.ttr_sweep(*jobs[0], 100, engine="scalar", backend="recording")
+        with pytest.raises(ValueError, match="unknown engine"):
+            batch.ttr_sweep(*jobs[0], 100, engine="warp")

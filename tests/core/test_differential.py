@@ -1,11 +1,11 @@
 """Randomized cross-engine differential harness.
 
-With four engines (scalar, batched, stream-serial, blocked stream),
-pair-major stacking, three fault-environment families, thread lanes,
-degenerate tile plans, and pluggable array backends, the space of
-execution configurations long outgrew hand-enumerated parity matrices.
-This harness draws random points from that space — (algorithm, workload,
-environment, engine configuration, backend, shift set, horizon) — and
+With three engines (scalar, batched, stream), multi-pair stacking,
+three fault-environment families, thread lanes, and degenerate tile
+plans, the space of execution configurations long outgrew
+hand-enumerated parity matrices.  This harness draws random points
+from that space — (algorithm, workload, environment, engine
+configuration, shift set, horizon) — and
 asserts the resulting TTR profile is **bit-identical** to the scalar
 reference loop (:func:`repro.core.verification.ttr_for_shift`), the one
 implementation simple enough to trust by inspection.
@@ -35,14 +35,8 @@ import pytest
 
 import repro
 from repro.core import batch
-from repro.core.backend import RecordingBackend
 from repro.core.environment import parse_environment
-from repro.core.stream import (
-    TilePlan,
-    ttr_sweep_pairs,
-    ttr_sweep_stream,
-    ttr_sweep_stream_serial,
-)
+from repro.core.stream import TilePlan, ttr_sweep_pairs, ttr_sweep_stream
 from repro.core.verification import ttr_for_shift
 from repro.sim import workloads
 
@@ -100,11 +94,9 @@ def _draw_case(rng: random.Random) -> dict:
         pairs = instance.overlapping_pairs()
     engine = rng.choice(ENGINE_CONFIGS)
     environment = rng.choice(ENVIRONMENTS)(rng)
-    # Backends only matter on streaming paths; the recording backend
-    # doubles every case it lands on as a no-bypass certification.
-    backend = "auto"
     if engine in ("stream-serial", "stream-blocked", "pair-major", "auto"):
-        backend = rng.choice(("auto", "numpy", "recording"))
+        # Discarded: the retired array-backend draw, kept so seeds replay.
+        rng.choice(("auto", "numpy", "recording"))
     num_pairs = 1
     if engine == "pair-major":
         num_pairs = rng.randint(2, min(3, len(pairs))) if len(pairs) > 1 else 1
@@ -124,7 +116,6 @@ def _draw_case(rng: random.Random) -> dict:
         "pairs": pairs[:num_pairs],
         "engine": engine,
         "environment": environment,
-        "backend": backend,
         "plan": plan,
         "tile_bytes": tile_bytes,
         "num_shifts": rng.randint(6, 20),
@@ -170,10 +161,7 @@ def _run_case(seed: int) -> None:
     jobs = _schedules(case)
     label = (
         f"seed={seed} engine={engine} algo={case['algorithm']} "
-        f"backend={case['backend']} env={'yes' if env else 'no'}"
-    )
-    backend = (
-        RecordingBackend() if case["backend"] == "recording" else case["backend"]
+        f"env={'yes' if env else 'no'}"
     )
     if engine == "pair-major":
         stacked = ttr_sweep_pairs(
@@ -181,7 +169,6 @@ def _run_case(seed: int) -> None:
             [horizon for _, _, _, horizon in jobs],
             tile_bytes=case["tile_bytes"],
             environment=env,
-            backend=backend,
         )
         for (a, b, shifts, horizon), got in zip(jobs, stacked):
             assert got == _reference(a, b, shifts, horizon, env), label
@@ -189,9 +176,13 @@ def _run_case(seed: int) -> None:
     a, b, shifts, horizon = jobs[0]
     expected = _reference(a, b, shifts, horizon, env)
     if engine == "stream-serial":
-        got = ttr_sweep_stream_serial(
+        # One lane, tile-filling blocks: the tiling of the retired
+        # single-threaded reference scan.
+        tile_bytes = case["tile_bytes"]
+        got = ttr_sweep_stream(
             a, b, shifts, horizon,
-            tile_bytes=case["tile_bytes"], environment=env, backend=backend,
+            plan=TilePlan(tile_bytes, max(1, tile_bytes // 8 // 256), 1),
+            environment=env,
         )
     elif engine == "stream-blocked":
         tile_bytes, block_rows, workers = case["plan"]
@@ -200,12 +191,11 @@ def _run_case(seed: int) -> None:
             plan=TilePlan(
                 tile_bytes=tile_bytes, block_rows=block_rows, workers=workers
             ),
-            environment=env, backend=backend,
+            environment=env,
         )
     else:  # scalar / batched / auto, through the dispatcher
         got = batch.ttr_sweep(
             a, b, shifts, horizon, engine=engine, environment=env,
-            backend=backend,
         )
     assert got == expected, label
 

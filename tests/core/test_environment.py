@@ -6,7 +6,7 @@ pinned here:
 (a) zero-intensity environments are **byte-identical** to no
     environment on every engine — the masked code path is always
     exercised, and an all-true mask must change nothing;
-(b) scalar / batched / stream / stream-serial parity holds under every
+(b) scalar / batched / stream / one-lane stream parity holds under every
     fault family on every workload generator the library ships;
 (c) primary-user churn confined to channels *outside* a pair's common
     set never changes any TTR — faults off the rendezvous channels are
@@ -43,7 +43,7 @@ from repro.core.environment import (
     hash_uniform,
     parse_environment,
 )
-from repro.core.stream import ttr_sweep_stream, ttr_sweep_stream_serial
+from repro.core.stream import TilePlan, ttr_sweep_stream
 from repro.core.verification import (
     degradation_report,
     exhaustive_shift_range,
@@ -111,8 +111,9 @@ def _all_engines(a, b, shifts, horizon, environment):
         "stream": ttr_sweep_stream(
             a, b, shifts, horizon, environment=environment
         ),
-        "serial": ttr_sweep_stream_serial(
-            a, b, shifts, horizon, environment=environment
+        "serial": ttr_sweep_stream(
+            a, b, shifts, horizon, plan=TilePlan(1 << 22, 2048, 1),
+            environment=environment,
         ),
     }
 

@@ -10,6 +10,8 @@ tiles smaller than one period.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -17,12 +19,7 @@ import repro
 from repro.core import batch
 from repro.core import stream as stream_module
 from repro.core.schedule import CyclicSchedule, FunctionSchedule
-from repro.core.stream import (
-    TilePlan,
-    plan_tiles,
-    ttr_sweep_stream,
-    ttr_sweep_stream_serial,
-)
+from repro.core.stream import TilePlan, plan_tiles, ttr_sweep_stream
 from repro.core.verification import (
     exhaustive_shift_range,
     ttr_for_shift,
@@ -186,21 +183,28 @@ def test_verify_guarantee_through_stream_engine():
 
 
 class TestParallelScan:
-    """The blocked worker-parallel scan vs the serial reference scan."""
+    """The blocked worker-parallel scan vs the scalar per-shift loop."""
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
     @pytest.mark.parametrize("algorithm", ["paper", "jump-stay", "zos"])
     def test_parallel_matches_serial_reference(self, workers, algorithm):
         """Bit-identical per cell at every worker count, on every
-        workload generator the serial reference itself is certified on."""
+        workload generator, against the serial scalar reference loop."""
         for kind in sorted(WORKLOADS):
-            instance = WORKLOADS[kind]()
-            i, j = instance.overlapping_pairs()[0]
-            a = repro.build_schedule(instance.sets[i], instance.n, algorithm=algorithm)
-            b = repro.build_schedule(instance.sets[j], instance.n, algorithm=algorithm)
-            horizon = 4 * max(a.period, b.period)
-            serial = ttr_sweep_stream_serial(a, b, SHIFTS, horizon)
+            a, b, horizon, serial = self._scalar_cell(algorithm, kind)
             assert ttr_sweep_stream(a, b, SHIFTS, horizon, workers=workers) == serial
+
+    @staticmethod
+    @functools.cache
+    def _scalar_cell(algorithm, kind):
+        """One workload's first pair and its scalar profile, computed
+        once and shared by every worker count."""
+        instance = WORKLOADS[kind]()
+        i, j = instance.overlapping_pairs()[0]
+        a = repro.build_schedule(instance.sets[i], instance.n, algorithm=algorithm)
+        b = repro.build_schedule(instance.sets[j], instance.n, algorithm=algorithm)
+        horizon = 4 * max(a.period, b.period)
+        return a, b, horizon, _scalar(a, b, SHIFTS, horizon)
 
     def test_parallel_matches_scalar_loop(self):
         """The parallel scan also agrees with the independent scalar path."""
@@ -222,7 +226,7 @@ class TestParallelScan:
         b = repro.build_schedule(instance.sets[1], 32, algorithm="jump-stay")
         shifts = list(range(-40, 90))
         horizon = 4 * max(a.period, b.period)
-        reference = ttr_sweep_stream_serial(a, b, shifts, horizon)
+        reference = _scalar(a, b, shifts, horizon)
         plan = TilePlan(tile_bytes=4096, block_rows=block_rows, workers=2)
         assert ttr_sweep_stream(a, b, shifts, horizon, plan=plan) == reference
 
@@ -231,11 +235,6 @@ class TestParallelScan:
         shifts = [0, 1, -1, 5]
         expected = _scalar(a, b, shifts, 300)
         assert ttr_sweep_stream(a, b, shifts, 300, workers=16) == expected
-
-    def test_serial_reference_rejects_bad_tile_budget(self):
-        a, b = CyclicSchedule([1, 2]), CyclicSchedule([2, 3])
-        with pytest.raises(ValueError, match="tile_bytes"):
-            ttr_sweep_stream_serial(a, b, [0], 10, tile_bytes=0)
 
     def test_dispatcher_forwards_stream_workers(self):
         """`batch.ttr_sweep(engine='stream', stream_workers=...)` is the
@@ -246,7 +245,7 @@ class TestParallelScan:
         horizon = 4 * max(a.period, b.period)
         one = batch.ttr_sweep(a, b, SHIFTS, horizon, engine="stream", stream_workers=1)
         four = batch.ttr_sweep(a, b, SHIFTS, horizon, engine="stream", stream_workers=4)
-        assert one == four == ttr_sweep_stream_serial(a, b, SHIFTS, horizon)
+        assert one == four == _scalar(a, b, SHIFTS, horizon)
 
 
 class TestChannelGather:
@@ -422,6 +421,38 @@ class TestCheckpointResume:
         replayed = ttr_sweep_stream(
             a, b, SHIFTS, horizon, tile_bytes=64, workers=1,
             checkpoint=stream_module.SweepCheckpoint(path),
+        )
+        assert replayed == first
+
+    def test_parallel_lanes_record_every_row(self, tmp_path, monkeypatch):
+        # Many lanes share one recorder; a lost update would leave a row
+        # unresolved in the final snapshot, and the replay would gather.
+        import sys
+
+        a, b, horizon = self._pair("jump-stay")
+        path = tmp_path / "sweep.ckpt.json"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            first = ttr_sweep_stream(
+                a, b, SHIFTS, horizon, tile_bytes=64, workers=8,
+                checkpoint=stream_module.SweepCheckpoint(path),
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        groups = stream_module.SweepCheckpoint(path).load()["groups"]
+        assert all(
+            value != stream_module._UNRESOLVED
+            for group in groups.values()
+            for value in group["resolved"]
+        )
+
+        def no_gather(*args, **kwargs):
+            raise AssertionError("resumed run gathered a tile")
+
+        monkeypatch.setattr(stream_module, "_gather_tile", no_gather)
+        replayed = ttr_sweep_stream(
+            a, b, SHIFTS, horizon, checkpoint=stream_module.SweepCheckpoint(path)
         )
         assert replayed == first
 
@@ -602,6 +633,48 @@ class TestPairMajor:
         jobs, horizon = self._grid()
         with pytest.raises(ValueError, match="tile_bytes"):
             stream_module.ttr_sweep_pairs(jobs, horizon, tile_bytes=0)
+
+    def test_stacked_tile_bytes_at_most_per_pair_sum(self):
+        # Each run of rows sharing a fixed schedule compares against one
+        # broadcast fixed row, so stacking never assembles more tile
+        # bytes than the per-pair scans of the same jobs put together.
+        from repro.core import telemetry
+        from repro.core.verification import strided_shift_range
+
+        jobs, horizons = [], []
+        for algorithm in ("paper", "crseq", "zos", "jump-stay"):
+            for n in (16, 32):
+                for seed in (0, 1):
+                    instance = single_overlap(n, 3, 3, seed=seed)
+                    a, b = (
+                        repro.build_schedule(s, n, algorithm=algorithm)
+                        for s in instance.sets
+                    )
+                    jobs.append((a, b, list(strided_shift_range(a, b, 256))))
+                    horizons.append(4 * max(a.period, b.period))
+
+        def tile_bytes(sweep):
+            telemetry.enable()
+            telemetry.reset()
+            try:
+                sweep()
+                spans = telemetry.snapshot()["spans"]
+            finally:
+                telemetry.disable()
+            total, stack = 0, [spans]
+            while stack:
+                for name, node in stack.pop().items():
+                    if name == "stream.tile_assembly":
+                        total += node["bytes"]
+                    stack.append(node.get("children", {}))
+            return total
+
+        stacked = tile_bytes(lambda: stream_module.ttr_sweep_pairs(jobs, horizons))
+        per_pair = sum(
+            tile_bytes(lambda: ttr_sweep_stream(a, b, shifts, h))
+            for (a, b, shifts), h in zip(jobs, horizons)
+        )
+        assert 0 < stacked <= per_pair
 
     def test_pair_sweep_telemetry_spans(self):
         from repro.core import telemetry

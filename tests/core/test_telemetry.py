@@ -189,6 +189,41 @@ class TestPoolWorkerMerge:
         )
 
 
+class TestStreamPlanDecisions:
+    """The stream engine's one planning site records what it chose."""
+
+    def test_plan_gauges_and_row_counter(self):
+        from repro.core.stream import TilePlan, plan_tiles, ttr_sweep_stream
+
+        instance = single_overlap(16, 3, 3, seed=2)
+        a, b = (
+            repro.build_schedule(s, 16, algorithm="jump-stay")
+            for s in instance.sets
+        )
+        shifts = list(range(-30, 50))
+        horizon = 4 * max(a.period, b.period)
+        telemetry.enable()
+        ttr_sweep_stream(a, b, shifts, horizon, workers=2, tile_bytes=1 << 14)
+        snap = telemetry.snapshot()
+        rows = snap["counters"]["stream.rows"]
+        assert rows == len(set(shifts))  # every shift its own class here
+        plan = plan_tiles(rows, horizon, workers=2, tile_bytes=1 << 14)
+        assert snap["gauges"] == {
+            "stream.plan.tile_bytes": plan.tile_bytes,
+            "stream.plan.block_rows": plan.block_rows,
+            "stream.plan.workers": plan.workers,
+        }
+
+        # A pinned plan is recorded as given, lanes clamped to blocks.
+        telemetry.reset()
+        pinned = TilePlan(tile_bytes=4096, block_rows=rows, workers=4)
+        ttr_sweep_stream(a, b, shifts, horizon, plan=pinned)
+        snap = telemetry.snapshot()
+        assert snap["gauges"]["stream.plan.block_rows"] == rows
+        assert snap["gauges"]["stream.plan.workers"] == 1
+        assert snap["counters"]["stream.rows"] == rows
+
+
 class TestDisabledOverhead:
     def test_disabled_hot_loop_allocates_nothing(self):
         # The stream engine's per-tile call pattern: span + add_bytes

@@ -484,72 +484,55 @@ class TestSweepRunnerEnvironment:
         assert legacy.missed == 0
 
 
+def _per_pair_loop(engine, inst, horizon):
+    """The production per-pair path: one ``measure_pair`` per pair."""
+    return [
+        engine.measure_pair(inst, "paper", pair, horizon, dense=4, probes=4)
+        for pair in inst.overlapping_pairs()
+    ]
+
+
 class TestSweepRunnerPairMajor:
-    """Pair-major stacking: one tile pass per serial instance sweep."""
+    """Stacking: one tile pass per serial multi-pair instance sweep."""
 
     def test_stacked_matches_per_pair_loop(self):
         inst = random_subsets(16, 8, 5, seed=4)  # 10 overlapping pairs
-        stacked = runner.SweepRunner(workers=1, pair_major=True)
-        looped = runner.SweepRunner(workers=1, pair_major=False)
         horizon = 60_000
-        assert stacked.measure_instance(
+        assert runner.SweepRunner(workers=1).measure_instance(
             inst, "paper", horizon, dense=4, probes=4
-        ) == looped.measure_instance(inst, "paper", horizon, dense=4, probes=4)
+        ) == _per_pair_loop(runner.SweepRunner(workers=1), inst, horizon)
 
     def test_auto_stacks_multi_pair_serial_jobs(self):
         engine = runner.SweepRunner(workers=1)
-        assert engine._use_pair_major(2)
-        assert engine._use_pair_major(10)
-        assert not engine._use_pair_major(1)
+        assert engine._stacks(2)
+        assert engine._stacks(10)
+        assert not engine._stacks(1)
 
     def test_auto_defers_to_unavailable_configs(self, tmp_path):
-        assert not runner.SweepRunner(
-            workers=1, engine="batched"
-        )._use_pair_major(10)
+        assert not runner.SweepRunner(workers=1, engine="batched")._stacks(10)
         assert not runner.SweepRunner(
             workers=1, checkpoint_dir=tmp_path
-        )._use_pair_major(10)
-        assert not runner.SweepRunner(
-            workers=1, pair_major=False
-        )._use_pair_major(10)
-
-    def test_forced_on_requires_stream_engine(self):
-        with pytest.raises(ValueError, match="streaming engine"):
-            runner.SweepRunner(engine="batched", pair_major=True)
-
-    def test_forced_on_rejects_checkpointing(self, tmp_path):
-        with pytest.raises(ValueError, match="checkpoint"):
-            runner.SweepRunner(checkpoint_dir=tmp_path, pair_major=True)
-
-    def test_pair_major_value_validated(self):
-        with pytest.raises(ValueError, match="pair_major"):
-            runner.SweepRunner(pair_major="always")
+        )._stacks(10)
 
     def test_environment_misses_match_per_pair_loop(self):
         inst = random_subsets(12, 4, 4, seed=9)
         env = "pu-churn:rate=0.1,seed=3"
-        stacked = runner.SweepRunner(
-            workers=1, pair_major=True, environment=env
-        )
-        looped = runner.SweepRunner(
-            workers=1, pair_major=False, environment=env
-        )
         horizon = 300  # short: some shifts miss, tallies must agree
-        assert stacked.measure_instance(
+        assert runner.SweepRunner(workers=1, environment=env).measure_instance(
             inst, "paper", horizon, dense=4, probes=4
-        ) == looped.measure_instance(inst, "paper", horizon, dense=4, probes=4)
+        ) == _per_pair_loop(
+            runner.SweepRunner(workers=1, environment=env), inst, horizon
+        )
 
     def test_stacked_sweep_consults_and_fills_result_cache(self, tmp_path):
         inst = random_subsets(16, 8, 4, seed=4)
         horizon = 60_000
-        warm = runner.SweepRunner(workers=1, results=tmp_path, pair_major=True)
+        warm = runner.SweepRunner(workers=1, results=tmp_path)
         first = warm.measure_instance(inst, "paper", horizon, dense=4, probes=4)
         assert warm.results.misses == len(first)
         # A fresh runner over the same store answers every pair warm:
         # no schedule builds, no tile pass.
-        replay = runner.SweepRunner(
-            workers=1, results=tmp_path, pair_major=True
-        )
+        replay = runner.SweepRunner(workers=1, results=tmp_path)
         assert replay.measure_instance(
             inst, "paper", horizon, dense=4, probes=4
         ) == first
@@ -564,9 +547,7 @@ class TestSweepRunnerPairMajor:
         seeded = seeder.measure_pair(
             inst, "paper", pairs[0], horizon, dense=4, probes=4
         )
-        mixed = runner.SweepRunner(
-            workers=1, results=tmp_path, pair_major=True
-        )
+        mixed = runner.SweepRunner(workers=1, results=tmp_path)
         results = mixed.measure_instance(
             inst, "paper", horizon, dense=4, probes=4
         )
@@ -574,30 +555,13 @@ class TestSweepRunnerPairMajor:
         assert mixed.results.hits == 1
         assert mixed.results.misses == len(pairs) - 1
 
-    def test_backend_spec_threads_through_stacked_sweep(self):
-        from repro.core.backend import RecordingBackend
-
-        inst = random_subsets(16, 8, 4, seed=4)
-        horizon = 60_000
-        boxed = runner.SweepRunner(
-            workers=1, pair_major=True, backend=RecordingBackend()
-        )
-        plain = runner.SweepRunner(workers=1, pair_major=True)
-        assert boxed.measure_instance(
-            inst, "paper", horizon, dense=4, probes=4
-        ) == plain.measure_instance(inst, "paper", horizon, dense=4, probes=4)
-
-    def test_backend_validated_at_construction(self):
-        with pytest.raises(ValueError, match="registered"):
-            runner.SweepRunner(backend="warp-drive")
-        with pytest.raises(ValueError, match="streaming engine"):
-            runner.SweepRunner(engine="batched", backend="recording")
-
-    def test_parallel_fanout_carries_backend_spec(self):
+    def test_parallel_fanout_matches_stacked_serial(self):
+        # The pool path measures per pair; the serial path stacks.
         inst = random_subsets(10, 3, 8, seed=4)
         horizon = 60_000
-        serial = runner.SweepRunner(workers=1, backend="numpy")
-        parallel = runner.SweepRunner(workers=2, backend="numpy")
+        serial = runner.SweepRunner(workers=1)
+        parallel = runner.SweepRunner(workers=2)
+        assert serial._stacks(len(inst.overlapping_pairs()))
         assert parallel.measure_instance(
             inst, "paper", horizon
         ) == serial.measure_instance(inst, "paper", horizon)

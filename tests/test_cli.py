@@ -739,7 +739,7 @@ class TestTelemetryFlag:
         assert "netsim.assemble" in tree["telemetry"]["spans"]
 
 
-class TestBackendAndPairMajorFlags:
+class TestStackedSweep:
     ARGS = [
         "sweep", "--agents", "1,5/5,9/1,9", "--universe", "16",
         "--dense", "4", "--probes", "4",
@@ -747,76 +747,19 @@ class TestBackendAndPairMajorFlags:
 
     @staticmethod
     def _strip(text):
-        banners = ("engine:", "backend:", "pair-major:", "tile bytes:")
         return [
             line for line in text.splitlines()
-            if not line.startswith(banners)
+            if not line.startswith("engine:")
         ]
 
-    def test_pair_major_on_off_and_auto_agree(self, capsys):
+    def test_stacked_and_per_pair_engines_agree(self, capsys, tmp_path):
+        # Default: the three pairs run stacked.  Forcing the batched
+        # engine, or a checkpoint directory, measures pair by pair.
         assert main(self.ARGS) == 0
-        auto_out = capsys.readouterr().out
-        assert main(self.ARGS + ["--pair-major", "on"]) == 0
-        on_out = capsys.readouterr().out
-        assert main(self.ARGS + ["--pair-major", "off"]) == 0
-        off_out = capsys.readouterr().out
-        assert "pair-major: on" in on_out
-        assert "pair-major: off" in off_out
-        assert self._strip(auto_out) == self._strip(on_out)
-        assert self._strip(auto_out) == self._strip(off_out)
-
-    def test_explicit_backend_matches_default(self, capsys):
-        assert main(self.ARGS) == 0
-        auto_out = capsys.readouterr().out
-        assert main(self.ARGS + ["--backend", "numpy"]) == 0
-        numpy_out = capsys.readouterr().out
-        assert main(self.ARGS + ["--backend", "recording",
-                                 "--engine", "stream"]) == 0
-        recording_out = capsys.readouterr().out
-        assert "backend:   numpy" in numpy_out
-        assert "backend:   recording" in recording_out
-        assert self._strip(auto_out) == self._strip(numpy_out)
-        assert self._strip(auto_out) == self._strip(recording_out)
-
-    def test_entry_point_backend_spec(self, capsys):
-        assert main(
-            self.ARGS + ["--backend", "repro.core.backend:NumpyBackend"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "backend:   repro.core.backend:NumpyBackend" in out
-
-    def test_unknown_backend_fails_before_sweeping(self, capsys):
-        code = main(self.ARGS + ["--backend", "warp-drive"])
-        out = capsys.readouterr().out
-        assert code == 2
-        assert "sweep failed:" in out
-
-    def test_non_numpy_backend_needs_stream_engine(self, capsys):
-        code = main(
-            self.ARGS + ["--backend", "recording", "--engine", "batched"]
-        )
-        out = capsys.readouterr().out
-        assert code == 2
-        assert "streaming engine" in out
-
-    def test_pair_major_on_rejects_batched_engine(self, capsys):
-        code = main(self.ARGS + ["--pair-major", "on", "--engine", "batched"])
-        out = capsys.readouterr().out
-        assert code == 2
-        assert "needs the streaming engine" in out
-
-    def test_pair_major_on_rejects_checkpointing(self, capsys, tmp_path):
-        code = main(
-            self.ARGS + ["--pair-major", "on",
-                         "--checkpoint-dir", str(tmp_path)]
-        )
-        out = capsys.readouterr().out
-        assert code == 2
-        assert "--checkpoint-dir" in out
-
-    def test_pair_major_choices_validated(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["sweep", "--agents", "1,2/2,3", "--universe", "8",
-                 "--pair-major", "sometimes"]
-            )
+        stacked_out = capsys.readouterr().out
+        assert main(self.ARGS + ["--engine", "batched"]) == 0
+        batched_out = capsys.readouterr().out
+        assert main(self.ARGS + ["--checkpoint-dir", str(tmp_path)]) == 0
+        checkpointed_out = capsys.readouterr().out
+        assert self._strip(stacked_out) == self._strip(batched_out)
+        assert self._strip(stacked_out) == self._strip(checkpointed_out)

@@ -67,11 +67,11 @@ class TestDocsExist:
             "bit-identical",
             "Extension recipe",
             "Deviations from the paper",
-            "array-backend seam",
-            "pair-major stacking",
+            "The stream kernel",
+            "row table",
             "ttr_sweep_pairs",
-            "RecordingBackend",
-            "REPRO_BACKEND",
+            "_FixedRowCache",
+            "start frontier",
         ):
             assert required in text, f"docs/ARCHITECTURE.md is missing {required!r}"
 
@@ -94,12 +94,9 @@ class TestDocsExist:
             "summarize_discovery",
             "Workloads",
             "Theorem 3",
-            "Array backends",
             "ttr_sweep_pairs",
             "choose_engine",
-            "conformance_checklist",
-            "resolve_backend",
-            "pair_major",
+            "broadcast fixed row",
         ):
             assert required in text, f"docs/API.md is missing {required!r}"
 
@@ -120,11 +117,10 @@ class TestDocsExist:
             "bit-identical",
             "Worked invocations",
             "BENCHMARKS.md",
-            "Pair-major stacking",
-            "pair-major",
+            "Stacking multi-pair jobs",
             "BENCH_pair_major.json",
-            "--backend",
-            "REPRO_BACKEND",
+            "interleaved reps",
+            "stream.plan",
         ):
             assert required in text, f"docs/TUNING.md is missing {required!r}"
 
@@ -147,6 +143,10 @@ class TestDocsExist:
             "TUNING.md",
             "stream.pair_sweep",
             "stream.pair_jobs",
+            "stream.plan.tile_bytes",
+            "stream.plan.block_rows",
+            "stream.plan.workers",
+            "stream.rows",
         ):
             assert required in text, f"docs/OBSERVABILITY.md is missing {required!r}"
 
