@@ -83,7 +83,7 @@ def main() -> None:
 
     # Averages hide the story: the paper's contribution is the worst-case
     # guarantee.  Probe one cross-band pair over many relative wake-up
-    # shifts (one batched sweep per algorithm) and report the worst TTR.
+    # shifts (one vectorized sweep per algorithm) and report the worst TTR.
     from repro.core.batch import ttr_sweep
     from repro.sim import summarize_profile
 

@@ -48,14 +48,14 @@ def main() -> None:
           f"(TTR {event.ttr} slots after both awake)")
 
     # --- worst case over shifts vs the analytic bound -------------------
-    # max_ttr sweeps every shift in one batched pass (repro.core.batch);
+    # max_ttr sweeps every shift in one vectorized pass (repro.core.batch);
     # ttr_sweep exposes the full profile when the distribution matters.
     bound = rendezvous_bound(alice, bob)
     worst = repro.max_ttr(alice, bob, range(0, 2000, 7), horizon=bound + 1)
     print(f"worst TTR over sampled shifts: {worst}  (analytic bound {bound})")
 
     # --- the tuning knobs, in one breath (full guide: docs/TUNING.md) --
-    # engine="auto" dispatches on period size (scalar / batched table /
+    # engine="auto" dispatches on the joint period (scalar loop /
     # streaming tiles); every engine and knob setting is bit-identical,
     # so forcing the streaming engine with explicit lanes and a pinned
     # tile budget must reproduce the default profile exactly.

@@ -106,7 +106,7 @@ class JumpStaySchedule(Schedule):
         """Vectorized window: closed-form global channels, projected.
 
         This is what keeps Jump-Stay streamable past ``n = 128``, where
-        its cubic period exceeds the batched engine's table limit.
+        its cubic period exceeds the schedule table limit.
         """
         raw = jump_stay_global_block(start, stop, self.prime) % self.n
         return project_onto_available(raw, self.sorted_channels)

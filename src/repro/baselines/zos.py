@@ -142,7 +142,7 @@ class ZOSSchedule(Schedule):
         """Vectorized window: the Z/O/S anatomy evaluated in closed form.
 
         Lets the streaming engine sweep ZOS at set sizes whose
-        ``Theta(m^3)`` period exceeds the batched engine's table limit.
+        ``Theta(m^3)`` period exceeds the schedule table limit.
         """
         if stop < start:
             raise ValueError(f"empty window: start={start}, stop={stop}")
@@ -173,9 +173,9 @@ class ZOSSchedule(Schedule):
 
         Assembles the ``(round, slot)`` matrix in one shot: the Z and S
         columns broadcast from per-round scalars, the O columns gather
-        from the residue lookup — no per-slot Python dispatch, so the
-        batched verification engine gets its table in milliseconds even
-        at the ``Theta(m^3)`` period.
+        from the residue lookup — no per-slot Python dispatch, so a
+        warm-table sweep gets its table in milliseconds even at the
+        ``Theta(m^3)`` period.
         """
         p = self.prime
         rounds = p * (p - 1)

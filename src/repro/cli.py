@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
-        help="batched pairwise TTR sweep over relative wake-up shifts",
+        help="vectorized pairwise TTR sweep over relative wake-up shifts",
     )
     sweep.add_argument(
         "--agents",
@@ -373,11 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--engine",
-        choices=("auto", "batched", "stream"),
+        choices=("auto", "stream"),
         default="auto",
-        help="sweep engine: 'auto' dispatches on period size, 'stream' "
-        "forces the tiled streaming engine (works at any period), "
-        "'batched' forces the table engine (periods up to its limit)",
+        help="sweep engine: 'auto' sends tiny joint periods to the scalar "
+        "loop and everything else to the tiled streaming engine, "
+        "'stream' forces the streaming engine (works at any period)",
     )
     sweep.add_argument(
         "--tile-bytes",
@@ -778,9 +778,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     if args.degradation is not None and args.environment is None:
         print("sweep failed: --degradation requires --environment")
-        return 2
-    if args.checkpoint_dir is not None and args.engine == "batched":
-        print("sweep failed: --checkpoint-dir needs the streaming engine")
         return 2
     store = None
     if args.store_dir is not None:

@@ -30,15 +30,16 @@ environment
     per-slot validity masks that every sweep engine applies
     bit-identically.
 batch
-    Batched shift-sweep engine: whole TTR profiles in one vectorized
-    pass over a ``(shift, time)`` coincidence matrix — and the engine
-    dispatcher (scalar / batched / stream).
+    Shift-sweep dispatcher: whole TTR profiles through the scalar
+    reference loop (tiny joint periods) or the stream kernel
+    (everything else).
 stream
-    Streaming tiled-sweep engine: the same profiles computed in
-    fixed-byte ``(shift, time)`` tiles generated on demand, for
-    schedules whose period is too large to table — one row-table scan
-    for one pair or a stacked grid of pairs, blocked over thread lanes,
-    with an L2/L3-aware tile-plan auto-tuner (``plan_tiles``).
+    Streaming tiled-sweep engine, the one first-meet kernel: TTR
+    profiles computed in fixed-byte ``(shift, time)`` tiles read from
+    window views of warm period tables or generated on demand for any
+    period size — one row-table scan for one pair or a stacked grid of
+    pairs, blocked over thread lanes, with an L2/L3-aware tile-plan
+    auto-tuner (``plan_tiles``).
 store
     Shared-memory schedule store: period tables materialized once as
     read-only memmaps and attached by every sweep process (sharded

@@ -29,7 +29,7 @@ the environment's own parameters, computed through a vectorized
 splitmix64-style integer hash (:func:`hash_uniform`) — no RNG state, no
 Python ``hash()``, so the same spec produces the same mask in every
 process, under every ``PYTHONHASHSEED``, on every engine.  That purity
-is what lets the batched and streaming sweep engines apply an
+is what lets the streaming sweep engine apply an
 environment as *one extra masked compare per tile* and stay
 bit-identical with the scalar reference
 (:func:`repro.core.verification.ttr_for_shift` with ``environment=``).

@@ -14,7 +14,7 @@ store directory.  The design mirrors the schedule store's discipline:
 
 * **content addressing** — the key is the query itself, canonically
   JSON-encoded with sorted keys and sorted channel lists, hashed with
-  SHA-256.  Engine identity (``batched`` / ``stream`` / ``scalar``),
+  SHA-256.  Engine identity (``stream`` / ``scalar``),
   tile budgets, and worker counts are deliberately *excluded*: every
   engine is parity-certified bit-identical, so a result computed under
   one configuration answers a query made under any other.

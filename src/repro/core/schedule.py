@@ -19,9 +19,10 @@ materializing the period, which is what lets the streaming engine
 table — and :meth:`Schedule.channel_gather` — channels at an arbitrary
 *array* of slot indices in one vectorized call, which is how the
 streaming engine's blocked scan assembles a whole ``(shift, time)``
-tile of scattered rows without per-row Python dispatch.  The batched
-engine (:mod:`repro.core.batch`) builds every sweep from window views
-of the period table; adding a new algorithm only requires
+tile of scattered rows without per-row Python dispatch.  Once a period
+table is warm (:meth:`Schedule.has_warm_table`), the streaming engine
+reads its tiles as slices and window views of that table instead;
+adding a new algorithm only requires
 ``channel_at`` plus (optionally) a vectorized
 ``_compute_period_array``, ``channel_block``, and/or
 ``channel_gather``.
@@ -122,11 +123,11 @@ class Schedule:
     def period_table(self) -> np.ndarray:
         """One full period of the schedule as a shared int64 array.
 
-        This is the bulk-materialization hook the batched verification
-        engine builds on: the table is computed once per schedule (and
-        cached for periods up to ``_CACHE_LIMIT``), after which any
-        window of the infinite schedule is a view/tile of it.  Callers
-        must treat the returned array as read-only.
+        The bulk-materialization hook: the table is computed once per
+        schedule (and cached for periods up to ``_CACHE_LIMIT``), after
+        which any window of the infinite schedule is a view/tile of it
+        — the streaming engine's warm-table tile source reads it that
+        way.  Callers must treat the returned array as read-only.
         """
         return self._period_array()
 
@@ -150,9 +151,10 @@ class Schedule:
 
         ``True`` means the next ``period_table()`` call is free (the
         cached array, a wrapped sequence, or a store memmap); ``False``
-        means it would pay a full pass over the period.  The engine
-        dispatcher (:func:`repro.core.batch.ttr_sweep`) uses this to
-        weigh table reuse against a one-shot streamed scan.
+        means it would pay a full pass over the period.  The streaming
+        engine (:mod:`repro.core.stream`) uses this to pick each
+        schedule's tile source: window views of a warm table, else the
+        schedule's own ``channel_block`` / ``channel_gather``.
         """
         return getattr(self, "_period_array_cache", None) is not None
 

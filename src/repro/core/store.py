@@ -7,8 +7,8 @@ slots, and materializing it (:meth:`~repro.core.schedule.Schedule.period_table`)
 costs a full pass over the period.  Before this module existed, every
 :class:`~repro.sim.runner.SweepRunner` worker process rebuilt each
 table it touched — the dominant cost of dense-universe sweeps
-(``n = 128, 256``), since the verification engine itself is batched
-and cheap per pair.
+(``n = 128, 256``), since the verification engine itself is
+vectorized and cheap per pair.
 
 :class:`ScheduleStore` materializes each distinct
 ``(channels, n, algorithm, seed)`` period table **exactly once** into a
@@ -85,8 +85,8 @@ __all__ = [
 DEFAULT_MEMORY_CAP = 1 << 30
 
 #: Largest period (slots) the store will materialize.  Shares the
-#: schedule cache / batched-engine limit: beyond it the batched sweep
-#: hands off to the streaming engine and a table would never be used.
+#: schedule cache limit: beyond it no table is ever cached, and the
+#: streaming engine generates tiles through the chunk hooks instead.
 STORE_PERIOD_LIMIT = _CACHE_LIMIT
 
 #: Pseudo-algorithm name under which the global DRDS sequence (one per

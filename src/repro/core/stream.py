@@ -1,36 +1,33 @@
-"""Streaming tiled-sweep verification engine for huge-period schedules.
+"""Streaming tiled-sweep verification engine: the one first-meet kernel.
 
-The batched engine (:mod:`repro.core.batch`) materializes both
-schedules' full period tables and gathers every coincidence block from
-window views of them — which caps it at ``BATCH_TABLE_LIMIT`` slots of
-period.  Jump-Stay's cubic global period crosses that limit from
-``n = 128`` on, and the long-period available-set baselines (ZOS at
-large ``m``) cross it well below their guarantee bounds, so the only
-honest fallback used to be the scalar per-shift loop — hours instead of
-seconds on Table-1-scale sweeps.
+Every worst-TTR answer in this repo — the paper's Section-2 guarantee,
+the Table-1 comparison, Jump-Stay's cubic period at ``n = 128`` and
+beyond — reduces to one predicate: the first slot at which two
+schedules meet, for each relative wake-up shift.  This module computes
+it for whole shift sets by walking fixed-byte ``(shift-block,
+time-block)`` **tiles**:
 
-This module removes the table from the loop.  The coincidence
-computation walks fixed-byte ``(shift-block, time-block)`` **tiles**:
-
-* each tile's channel rows are generated *on demand* through
-  :meth:`~repro.core.schedule.Schedule.channel_block` /
-  :meth:`~repro.core.schedule.Schedule.channel_gather`, the chunk APIs
-  every baseline implements (vectorized closed forms for the global
-  sequences; memmap slices for store-attached tables; a generic
-  modular-index fallback otherwise) — no full period is ever held;
-* every shift is first reduced to its phase-offset pair exactly as in
-  the batched engine (``s >= 0`` acts through ``s mod period_A``,
-  ``s < 0`` through ``-s mod period_B``), and duplicate offsets are
-  deduplicated before any work happens;
+* each tile's channel rows come from the schedule's *tile source*,
+  chosen per schedule by :func:`_warm_table`: a warm period table
+  (cached, wrapped, or a store memmap) is read through slices and
+  :func:`~numpy.lib.stride_tricks.sliding_window_view` window views —
+  a row memcpy per shift; any other schedule generates its rows on
+  demand through :meth:`~repro.core.schedule.Schedule.channel_block` /
+  :meth:`~repro.core.schedule.Schedule.channel_gather` (vectorized
+  closed forms for the global sequences; a generic modular-index
+  fallback otherwise), so no full period is ever required;
+* every shift is first reduced to its phase-offset pair (``s >= 0``
+  acts through ``s mod period_A``, ``s < 0`` through ``-s mod
+  period_B``), and duplicate offsets are deduplicated before any work
+  happens;
 * tiles carry per-shift *first-meet* state: a shift row that has
   already rendezvoused retires and never costs another cell, and time
   blocks grow geometrically as rows drop out (most shifts meet early);
 * the scan stops at ``lcm(period_A, period_B)`` slots even when the
-  caller's horizon is larger, the same early-stop the batched engine
-  applies: the joint pattern is periodic, so a silent joint period
-  means no rendezvous ever — unless an aperiodic fault environment
-  (:mod:`repro.core.environment`) is attached, which voids the
-  periodicity argument and forces the full horizon
+  caller's horizon is larger: the joint pattern is periodic, so a
+  silent joint period means no rendezvous ever — unless an aperiodic
+  fault environment (:mod:`repro.core.environment`) is attached, which
+  voids the periodicity argument and forces the full horizon
   (:func:`repro.core.environment.effective_horizon`).
 
 One kernel implements those semantics.  Work is a **row table**: every
@@ -43,23 +40,24 @@ stacks many jobs — e.g. a whole Table-1 cell grid — into one:
   into independent **shift blocks** (a :class:`TilePlan` decides how
   many rows per block and how many bytes per tile — :func:`plan_tiles`
   auto-tunes both from the worker count, the machine's L2/L3 cache
-  sizes, and the problem shape);
+  sizes, and the problem shape; rows that fit one tile run as one
+  block on one lane);
 * each run of rows sharing a (fixed, varying) schedule pair gathers
-  its varying side in *one* vectorized ``channel_gather`` call (dense
-  runs use a contiguous ``channel_block`` chunk plus strided window
-  views instead) and compares it against *one* broadcast row of the
-  fixed side, memoized per time window and shared by every block;
+  its varying side in *one* vectorized read (dense runs take one
+  contiguous chunk and slice strided window views out of it) and
+  compares it against *one* broadcast row of the fixed side, memoized
+  per time window and shared by every block;
 * every row retires independently under its own horizon, and a row's
   start frontier is where its scan resumes — checkpoint resume
   (:class:`SweepCheckpoint`) is nothing more than that column;
-* with ``workers > 1`` the blocks fan out over a thread pool — numpy
-  releases the GIL inside the tile-sized comparisons and gathers, so
-  the lanes genuinely overlap on multi-core machines.  Blocks touch
-  disjoint result rows, so the merge is race-free and the result is
-  bit-identical to any serial order.
+* with more than one lane the blocks fan out over a thread pool —
+  numpy releases the GIL inside the tile-sized comparisons and
+  gathers, so the lanes genuinely overlap on multi-core machines.
+  Blocks touch disjoint result rows, so the merge is race-free and the
+  result is bit-identical to any serial order.
 
 Results are bit-identical across every worker count, every tile plan,
-every stacking of jobs, and the batched and scalar engines —
+every tile source, every stacking of jobs, and the scalar engine —
 ``tests/core/test_stream.py`` certifies the parity matrix against the
 scalar :func:`repro.core.verification.ttr_for_shift` loop across every
 workload generator, and ``tests/core/test_differential.py`` adds a
@@ -223,11 +221,12 @@ def plan_tiles(
       with multiple lanes the per-lane tile is additionally capped so
       all lanes together leave half the L3 free.  An explicit
       ``tile_bytes`` pins the budget unchanged.
-    * **block rows** — serial scans take the widest block one tile can
-      hold (fewer tiles, best vectorization); parallel scans split the
-      rows into ``workers * 4`` blocks (bounded by the tile cap) so
-      lanes that retire early pick up remaining blocks instead of
-      idling.
+    * **block rows** — serial scans, and any scan whose rows all fit
+      one tile, take the widest block one tile can hold (fewer tiles,
+      best vectorization; a one-tile scan then runs inline, with no
+      thread pool to pay for); larger parallel scans split the rows
+      into ``workers * 4`` blocks (bounded by the tile cap) so lanes
+      that retire early pick up remaining blocks instead of idling.
     * **workers** — clamped to the number of blocks; extra lanes could
       never receive work.
     """
@@ -249,7 +248,7 @@ def plan_tiles(
     initial_block = min(_INITIAL_TIME_BLOCK, max(1, horizon))
     rows_cap = max(1, cells // initial_block)
     rows = max(1, num_offsets)
-    if workers > 1:
+    if workers > 1 and rows > rows_cap:
         per_lane = -(-rows // (workers * _BLOCKS_PER_WORKER))
         block_rows = max(1, min(rows_cap, per_lane))
     else:
@@ -447,8 +446,9 @@ def ttr_sweep_stream(
     :func:`repro.core.verification.ttr_for_shift`): the result maps
     each shift to the first slot, counted from the later wake-up, where
     the schedules coincide — ``None`` when no coincidence occurs within
-    ``horizon`` slots.  Unlike the batched engine it never materializes
-    a full period table, so it works at any period size.
+    ``horizon`` slots.  It never *requires* a full period table, so it
+    works at any period size; tables that are already warm are read
+    through window views instead of regenerating their rows.
 
     Execution is the row-table scan described in the module docstring,
     over a table holding this one job: the deduped shift classes split
@@ -786,9 +786,8 @@ def reduce_shifts(
     pair ``(s mod period_A, 0)`` (``s >= 0``) or ``(0, -s mod
     period_B)`` (``s < 0``), so the distinct pairs are the real work
     items.  Returns ``(unique_pairs, inverse)`` with ``inverse``
-    mapping each input shift to its row in ``unique_pairs``.  This is
-    the *one* reduction both sweep engines share — bit-identical
-    results across engines depend on it staying single-sourced.
+    mapping each input shift to its row in ``unique_pairs``.  Every
+    row table is built from this one reduction.
     """
     arr = np.asarray(shift_list, dtype=np.int64)
     off_a = np.where(arr >= 0, arr, 0) % a.period
@@ -845,11 +844,35 @@ class _FixedRowCache:
         """The fixed side's channels over ``[t0, t1)``, memoized."""
         row = self._rows.get((t0, t1))
         if row is None:
-            row = np.asarray(self._schedule.channel_block(t0, t1))
+            row = _block(self._schedule, t0, t1)
             if self._cached_cells + row.size <= self._budget:
                 self._rows[(t0, t1)] = row
                 self._cached_cells += row.size
         return row
+
+
+def _warm_table(schedule: Schedule) -> np.ndarray | None:
+    """The tile source for ``schedule``: its period table, when warm.
+
+    A warm table (:meth:`~repro.core.schedule.Schedule.has_warm_table`:
+    cached, a wrapped sequence, or a store memmap) is read through
+    slices and window views — a row memcpy per shift.  ``None`` sends
+    the caller to the schedule's own ``channel_block`` /
+    ``channel_gather``, which never need the full period.
+    """
+    return schedule.period_table() if schedule.has_warm_table() else None
+
+
+def _block(schedule: Schedule, start: int, stop: int) -> np.ndarray:
+    """Channels over slots ``[start, stop)`` from the schedule's source;
+    a warm table yields a view unless the window wraps its period."""
+    table = _warm_table(schedule)
+    if table is None:
+        return np.asarray(schedule.channel_block(start, stop))
+    lo = start % table.size
+    if lo + stop - start <= table.size:
+        return table[lo : lo + stop - start]
+    return np.take(table, np.arange(lo, lo + stop - start), mode="wrap")
 
 
 def _gather_tile(
@@ -859,16 +882,23 @@ def _gather_tile(
 
     ``offsets`` must be sorted ascending.  When the block's offsets are
     close together (span no larger than the rows matrix itself), one
-    contiguous chunk is generated and the rows are strided window views
-    of it; sparse blocks assemble the whole ``(rows, width)`` index
-    matrix and fetch it in a single vectorized ``channel_gather`` call
-    instead of one Python-level call per row.
+    contiguous chunk is read and the rows are strided window views of
+    it.  Sparse blocks gather every row in one vectorized read: window
+    views of a warm table (a modular ``take`` when a row wraps the
+    period), or the schedule's ``channel_gather`` over the whole
+    ``(rows, width)`` index matrix.
     """
     base = int(offsets[0])
     span = int(offsets[-1]) - base + width
     if span <= offsets.size * width:
-        chunk = np.asarray(schedule.channel_block(base + t0, base + t0 + span))
+        chunk = _block(schedule, base + t0, base + t0 + span)
         return sliding_window_view(chunk, width)[offsets - base]
-    starts = offsets[:, np.newaxis] + t0
-    window = np.arange(width, dtype=np.int64)[np.newaxis, :]
-    return np.asarray(schedule.channel_gather(starts + window))
+    starts = offsets + t0
+    window = np.arange(width, dtype=np.int64)
+    table = _warm_table(schedule)
+    if table is None:
+        return np.asarray(schedule.channel_gather(starts[:, np.newaxis] + window))
+    starts %= table.size
+    if int(starts.max()) + width <= table.size:
+        return sliding_window_view(table, width)[starts]
+    return np.take(table, starts[:, np.newaxis] + window, mode="wrap")

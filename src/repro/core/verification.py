@@ -17,17 +17,18 @@ so checking the ``period_A + period_B - 1`` shift classes of
 certify guarantees, not just sample them.
 
 All scans are vectorized over numpy windows.  Multi-shift queries
-(``ttr_profile``, ``max_ttr``, ``verify_guarantee``) are computed by the
-batched engine in :mod:`repro.core.batch`, which sweeps every shift in
-one vectorized pass; ``ttr_for_shift`` remains the independent scalar
-reference path the batched engine is parity-tested against.
+(``ttr_profile``, ``max_ttr``, ``verify_guarantee``) go through the
+sweep dispatcher in :mod:`repro.core.batch`, whose stream kernel
+sweeps every shift in one vectorized pass; ``ttr_for_shift`` remains
+the independent scalar reference path that kernel is parity-tested
+against.
 
 Every entry point accepts an ``environment``
 (:mod:`repro.core.environment`): a deterministic per-slot validity mask
 that drops coincidences lost to primary-user churn, fading, or sensing
 error.  The mask is evaluated on the TTR clock (slots since the later
-wake-up), and the scalar path here is the reference the masked batched
-and streaming engines are parity-certified against.
+wake-up), and the scalar path here is the reference the masked
+streaming engine is parity-certified against.
 :func:`degradation_report` is the guarantee-under-fault view: instead
 of a bare bool it reports which shift classes lost the meeting
 guarantee and how far TTRs inflated.
@@ -253,7 +254,7 @@ class DegradationReport:
     finite) and summarized by its mean and max; ``faulted_worst`` is
     ``None`` when no shift survived.  Reports are plain data, built
     from bit-identical engine profiles, so the report itself is
-    bit-identical across scalar/batched/stream.
+    bit-identical across scalar/stream.
     """
 
     bound: int

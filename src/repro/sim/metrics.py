@@ -74,7 +74,7 @@ def _percentile(ordered: list[int], q: float) -> float:
 def summarize_profile(
     profile: Mapping[int, int | None],
 ) -> tuple[TTRStats | None, list[int]]:
-    """Summarize a shift -> TTR profile from the batched sweep engine.
+    """Summarize a shift -> TTR profile from the sweep engine.
 
     Returns ``(stats over the shifts that rendezvoused, shifts that
     missed)``; stats are ``None`` when every shift missed.

@@ -10,7 +10,7 @@ The heavy lifting happens in :class:`SweepRunner`:
 * schedules are cached per ``(channels, n, algorithm, seed)`` — in an
   instance with many agents the same channel set is never rebuilt for
   each pair it appears in;
-* every pair's shift sweep goes through the batched engine
+* every pair's shift sweep goes through the engine dispatcher
   (:func:`repro.core.batch.ttr_sweep`), one vectorized pass instead of a
   Python loop over shifts;
 * instances with many pairs fan out across a
@@ -55,12 +55,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core import telemetry
-from repro.core.batch import ENGINES, ttr_sweep, ttr_sweep_pairs
+from repro.core.batch import ENGINES, ttr_sweep
 from repro.core.environment import Environment, environment_digest, parse_environment
 from repro.core.results import ResultStore, pair_query, result_digest
 from repro.core.schedule import Schedule
 from repro.core.store import ScheduleStore, build_plain, store_key
-from repro.core.stream import SweepCheckpoint
+from repro.core.stream import SweepCheckpoint, ttr_sweep_pairs
 from repro.sim.metrics import TTRStats, summarize_ttrs
 from repro.sim.workloads import Instance
 
@@ -130,7 +130,7 @@ def shift_plan(
 
 
 class SweepRunner:
-    """Batched, schedule-caching, optionally parallel sweep engine.
+    """Vectorized, schedule-caching, optionally parallel sweep engine.
 
     **Caching contract.** One runner owns one schedule cache, keyed by
     :func:`~repro.core.store.store_key` — ``(channels, n, algorithm,
@@ -155,15 +155,15 @@ class SweepRunner:
     **Engine contract.** ``engine`` / ``tile_bytes`` pass straight
     through to :func:`repro.core.batch.ttr_sweep` for every pair the
     runner measures (workers included): ``"auto"`` dispatches per pair
-    on period size — batched tables up to the limit, the streaming
-    tiled engine beyond it — so huge-period baselines (Jump-Stay at
+    — the scalar loop for tiny joint periods, the stream kernel for
+    everything else, so huge-period baselines (Jump-Stay at
     ``n >= 128``) sweep transparently; forcing ``"stream"`` or
-    ``"batched"`` pins the path, and every engine is bit-identical.
+    ``"scalar"`` pins the path, and both engines are bit-identical.
 
     **Stacking contract.** A *serial* job of two or more pairs, with
     ``engine`` ``"auto"`` or ``"stream"`` and no checkpoint directory,
     runs every uncached pair through one
-    :func:`repro.core.batch.ttr_sweep_pairs` tile pass instead of one
+    :func:`repro.core.stream.ttr_sweep_pairs` tile pass instead of one
     engine dispatch per pair.  Stacked results are bit-identical to
     per-pair ones, cache consultation and write-through per pair
     included; the process-pool path is per-pair regardless (each worker
@@ -199,7 +199,7 @@ class SweepRunner:
     sweep deletes it.  Resumed profiles are bit-identical to
     uninterrupted ones.  Checkpointing rides the streaming engine, so
     ``engine="auto"`` dispatches checkpointed sweeps to it; forcing
-    ``"batched"``/``"scalar"`` alongside a checkpoint directory raises.
+    ``"scalar"`` alongside a checkpoint directory raises.
 
     **Worker-budget contract.** ``workers`` is *one* budget spent on
     two axes: across pairs (the process pool) or within a pair (the
@@ -604,7 +604,7 @@ class SweepRunner:
         the result cache is consulted first (warm pairs never enter the
         scan), schedules come from the shared cache, and computed
         measurements are written through — but every uncached pair's
-        shift plan joins one :func:`repro.core.batch.ttr_sweep_pairs`
+        shift plan joins one :func:`repro.core.stream.ttr_sweep_pairs`
         call, so the whole grid shares a single tile pass instead of
         one engine dispatch per pair.  Results are bit-identical to the
         per-pair loop and return in pair order.
@@ -641,9 +641,8 @@ class SweepRunner:
                 meta.append((idx, pair, plan, query))
         if jobs:
             profiles = ttr_sweep_pairs(
-                jobs, horizon, engine=self.engine,
-                tile_bytes=self.tile_bytes, stream_workers=stream_lanes,
-                environment=self.environment,
+                jobs, horizon, tile_bytes=self.tile_bytes,
+                workers=stream_lanes, environment=self.environment,
             )
             for (idx, pair, plan, query), profile in zip(meta, profiles):
                 measured[idx] = self._finalize_pair(

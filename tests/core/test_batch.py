@@ -1,4 +1,4 @@
-"""Parity tests: the batched sweep engine vs the scalar reference path.
+"""Parity tests: the sweep dispatcher vs the scalar reference path.
 
 The contract is bit-identical profiles: for every workload the library
 ships, ``ttr_sweep`` must return exactly what a per-shift loop over
@@ -12,7 +12,8 @@ import pytest
 
 import repro
 from repro.core import batch
-from repro.core.schedule import CyclicSchedule, FunctionSchedule
+from repro.core.schedule import _CACHE_LIMIT, CyclicSchedule, FunctionSchedule
+from repro.core.stream import ttr_sweep_pairs
 from repro.core.verification import (
     exhaustive_shift_range,
     max_ttr,
@@ -97,14 +98,14 @@ def test_lcm_early_stop_matches_full_horizon_scan():
 
 
 def test_chunking_is_invisible():
-    """Tiny block budgets exercise both chunk axes without changing results."""
+    """Tiny tile budgets exercise both chunk axes without changing results."""
     instance = single_overlap(32, 3, 4, seed=7)
     a = repro.build_schedule(instance.sets[0], 32)
     b = repro.build_schedule(instance.sets[1], 32)
     shifts = list(range(-50, 400))
     reference = batch.ttr_sweep(a, b, shifts, 20_000)
-    for max_cells in (1, 64, 1024):
-        assert batch.ttr_sweep(a, b, shifts, 20_000, max_cells=max_cells) == reference
+    for tile_bytes in (8, 512, 8192):
+        assert batch.ttr_sweep(a, b, shifts, 20_000, tile_bytes=tile_bytes) == reference
 
 
 def test_duplicate_and_empty_shift_lists():
@@ -121,11 +122,10 @@ def test_zero_horizon_is_all_misses():
 
 
 def test_huge_period_fallback_matches_scalar():
-    """Periods past BATCH_TABLE_LIMIT skip table materialization entirely
-    (building the table would dwarf the sweep) and dispatch to the
-    streaming tiled engine, which only evaluates the slots it scans —
+    """Periods past the schedule cache limit never materialize a table:
+    the streaming tiled engine only evaluates the slots it scans —
     bit-identical to the scalar reference."""
-    period = batch.BATCH_TABLE_LIMIT + 1
+    period = _CACHE_LIMIT + 1
     a = FunctionSchedule(lambda t: t % 3, period, channels=frozenset({0, 1, 2}))
     b = CyclicSchedule([2, 0])
     shifts = [0, 1, 5, -3]
@@ -159,13 +159,13 @@ def test_max_ttr_raises_on_miss_through_batch():
 
 
 class TestAutoDispatchShape:
-    """engine="auto" picks the engine from sweep *shape*, not just size:
-    a one-shot strided sweep against cold tables streams (table
-    materialization would dominate); warm or exhaustive sweeps batch."""
+    """engine="auto" ignores sweep shape: every sweep past the scalar
+    limit streams, strided or exhaustive, warm tables or cold — the
+    stream kernel reads warm tables through window views itself."""
 
     def _cold_pair(self):
-        # Fresh builds every call: dispatch probes table warmth, and a
-        # prior period_table() call would flip the answer.
+        # Fresh builds every call: a prior period_table() call would
+        # warm the tables.
         instance = single_overlap(16, 3, 3, seed=2)
         a = repro.build_schedule(instance.sets[0], 16, algorithm="jump-stay")
         b = repro.build_schedule(instance.sets[1], 16, algorithm="jump-stay")
@@ -184,32 +184,33 @@ class TestAutoDispatchShape:
 
     def test_cold_strided_sweep_streams(self, monkeypatch):
         a, b = self._cold_pair()
-        num = max(a.period, b.period) // batch.STRIDED_DISPATCH_FACTOR
-        assert num > 0, "pair too small to express a strided sweep"
-        shifts = list(range(num))
+        shifts = list(range(max(a.period, b.period) // 64))
+        assert shifts, "pair too small to express a strided sweep"
         calls = self._spy_stream(monkeypatch)
-        profile = batch.ttr_sweep(a, b, shifts, 4 * max(a.period, b.period))
+        horizon = 4 * max(a.period, b.period)
+        profile = batch.ttr_sweep(a, b, shifts, horizon)
         assert calls, "cold strided sweep must dispatch to the stream engine"
         assert profile == batch.ttr_sweep(
-            *self._cold_pair(), shifts, 4 * max(a.period, b.period),
-            engine="batched",
+            *self._cold_pair(), shifts, horizon, engine="scalar"
         )
 
-    def test_warm_tables_keep_the_batched_path(self, monkeypatch):
+    def test_warm_tables_stream(self, monkeypatch):
         a, b = self._cold_pair()
         a.period_table(), b.period_table()  # warm both
         assert a.has_warm_table() and b.has_warm_table()
-        num = max(a.period, b.period) // batch.STRIDED_DISPATCH_FACTOR
+        shifts = list(range(max(a.period, b.period) // 64))
         calls = self._spy_stream(monkeypatch)
-        batch.ttr_sweep(a, b, list(range(num)), 4 * max(a.period, b.period))
-        assert not calls, "warm tables make the batched setup free"
+        horizon = 4 * max(a.period, b.period)
+        profile = batch.ttr_sweep(a, b, shifts, horizon)
+        assert calls, "warm tables are a stream tile source, not an engine"
+        assert profile == _scalar(a, b, shifts, horizon)
 
-    def test_exhaustive_sweep_keeps_the_batched_path(self, monkeypatch):
+    def test_exhaustive_sweep_streams(self, monkeypatch):
         a, b = self._cold_pair()
         shifts = list(range(max(a.period, b.period)))  # shift count ~ period
         calls = self._spy_stream(monkeypatch)
         batch.ttr_sweep(a, b, shifts, 4 * max(a.period, b.period))
-        assert not calls, "exhaustive sweeps read every table row: batch"
+        assert calls, "exhaustive sweeps stream like every other shape"
 
     def test_stored_schedules_count_as_warm(self, tmp_path):
         from repro.core.store import ScheduleStore
@@ -228,9 +229,9 @@ class TestAutoDispatchShape:
 
 
 class TestChooseEngine:
-    """choose_engine pins every auto-dispatch regime as a pure decision:
-    the warmth-aware refinement only weighs the *cold* side, so a warm
-    huge table next to a cold small one stays on the batched path."""
+    """choose_engine pins the three auto-dispatch regimes as a pure
+    decision: checkpoint → stream, joint period up to
+    SCALAR_JOINT_LIMIT → scalar, and warm or cold tables → stream."""
 
     def _cold_pair(self):
         instance = single_overlap(16, 3, 3, seed=2)
@@ -241,61 +242,44 @@ class TestChooseEngine:
     def test_checkpoint_forces_stream(self):
         a, b = self._cold_pair()
         assert batch.choose_engine(a, b, 10, checkpoint=True) == "stream"
+        tiny = CyclicSchedule([1, 2]), CyclicSchedule([2, 1])
+        assert batch.choose_engine(*tiny, 4, checkpoint=True) == "stream"
 
     def test_tiny_joint_period_goes_scalar(self):
         assert (
             batch.choose_engine(CyclicSchedule([1, 2]), CyclicSchedule([2, 1]), 4)
             == "scalar"
         )
+        joint = CyclicSchedule([1] * 8), CyclicSchedule([1] * batch.SCALAR_JOINT_LIMIT)
+        assert batch.choose_engine(*joint, 4) == "scalar"
+        past = CyclicSchedule([1] * 3), CyclicSchedule([1] * batch.SCALAR_JOINT_LIMIT)
+        assert batch.choose_engine(*past, 4) == "stream"
 
     def test_huge_period_goes_stream(self):
-        big = FunctionSchedule(
-            lambda t: t % 7, period=batch.BATCH_TABLE_LIMIT + 1
-        )
+        big = FunctionSchedule(lambda t: t % 7, period=_CACHE_LIMIT + 1)
         assert batch.choose_engine(big, CyclicSchedule([1, 2, 3]), 10) == "stream"
 
     def test_cold_strided_goes_stream(self):
         a, b = self._cold_pair()
-        num = max(a.period, b.period) // batch.STRIDED_DISPATCH_FACTOR
-        assert batch.choose_engine(a, b, num) == "stream"
+        assert batch.choose_engine(a, b, max(a.period, b.period) // 64) == "stream"
 
-    def test_exhaustive_goes_batched(self):
+    def test_exhaustive_goes_stream(self):
         a, b = self._cold_pair()
-        assert batch.choose_engine(a, b, max(a.period, b.period)) == "batched"
+        assert batch.choose_engine(a, b, max(a.period, b.period)) == "stream"
 
-    def test_both_warm_goes_batched(self):
+    def test_both_warm_goes_stream(self):
         a, b = self._cold_pair()
         a.period_table(), b.period_table()
-        num = max(a.period, b.period) // batch.STRIDED_DISPATCH_FACTOR
-        assert batch.choose_engine(a, b, num) == "batched"
-
-    def test_warm_big_cold_small_weighs_only_the_cold_side(self):
-        # The PR-5 carry-over regime: the big table is warm (its reuse
-        # is free) and the small side's build is cheap relative to the
-        # sweep, so the batched path wins — the old both-or-nothing
-        # probe streamed here and re-paid the small build's dispatch.
-        a, b = self._cold_pair()
-        big, small = (a, b) if a.period >= b.period else (b, a)
-        big.period_table()
-        num = max(
-            1, small.period // batch.STRIDED_DISPATCH_FACTOR + 1
-        )  # not strided vs the cold side
-        assert num * batch.STRIDED_DISPATCH_FACTOR > small.period
-        assert batch.choose_engine(big, small, num) == "batched"
+        assert batch.choose_engine(a, b, max(a.period, b.period) // 64) == "stream"
 
     def test_warm_big_cold_small_still_streams_when_strided_vs_cold(self):
         a, b = self._cold_pair()
         big, small = (a, b) if a.period >= b.period else (b, a)
         big.period_table()
-        num = small.period // batch.STRIDED_DISPATCH_FACTOR
-        if num < 1:
-            pytest.skip("small side too small to express a strided sweep")
-        assert batch.choose_engine(big, small, num) == "stream"
+        for num in (1, small.period // 64 + 1, small.period):
+            assert batch.choose_engine(big, small, num) == "stream"
 
     def test_ttr_sweep_auto_follows_choose_engine(self, monkeypatch):
-        a, b = self._cold_pair()
-        big, small = (a, b) if a.period >= b.period else (b, a)
-        big.period_table()
         calls = []
         real = batch._stream.ttr_sweep_stream
 
@@ -304,13 +288,15 @@ class TestChooseEngine:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(batch._stream, "ttr_sweep_stream", spy)
-        shifts = list(range(small.period // batch.STRIDED_DISPATCH_FACTOR + 1))
-        batch.ttr_sweep(big, small, shifts, 4 * big.period)
-        assert not calls, "warm-big/cold-small unstride sweep must batch"
+        for a, b in (self._cold_pair(), (CyclicSchedule([1, 2]), CyclicSchedule([2]))):
+            calls.clear()
+            batch.ttr_sweep(a, b, [0, 1, -1], 4 * max(a.period, b.period))
+            assert bool(calls) == (batch.choose_engine(a, b, 3) == "stream")
 
 
 class TestTtrSweepPairsDispatcher:
-    """batch.ttr_sweep_pairs: one stacked pass, per-job parity."""
+    """stream.ttr_sweep_pairs (the runner's stacked path): one stacked
+    pass, per-job parity with the dispatcher."""
 
     def _jobs(self):
         instance = random_subsets(16, 4, 3, seed=9)
@@ -327,32 +313,33 @@ class TestTtrSweepPairsDispatcher:
     def test_matches_per_job_ttr_sweep(self):
         jobs = self._jobs()
         horizon = 4 * max(max(a.period, b.period) for a, b, _ in jobs)
-        stacked = batch.ttr_sweep_pairs(jobs, horizon)
+        stacked = ttr_sweep_pairs(jobs, horizon)
         for (a, b, shifts), got in zip(jobs, stacked):
             assert got == batch.ttr_sweep(a, b, shifts, horizon)
 
     def test_per_job_horizons(self):
         jobs = self._jobs()
         horizons = [200 + 100 * i for i in range(len(jobs))]
-        stacked = batch.ttr_sweep_pairs(jobs, horizons)
+        stacked = ttr_sweep_pairs(jobs, horizons)
         for (a, b, shifts), h, got in zip(jobs, horizons, stacked):
             assert got == batch.ttr_sweep(a, b, shifts, h)
 
     def test_reference_engines_loop_per_job(self):
         jobs = self._jobs()[:2]
         horizon = 4 * max(max(a.period, b.period) for a, b, _ in jobs)
-        for engine in ("batched", "scalar"):
-            looped = batch.ttr_sweep_pairs(jobs, horizon, engine=engine)
-            assert looped == batch.ttr_sweep_pairs(jobs, horizon)
+        looped = [
+            batch.ttr_sweep(a, b, shifts, horizon, engine="scalar")
+            for a, b, shifts in jobs
+        ]
+        assert looped == ttr_sweep_pairs(jobs, horizon)
 
     def test_horizon_count_mismatch_raises(self):
         jobs = self._jobs()[:2]
         with pytest.raises(ValueError, match="horizons for"):
-            batch.ttr_sweep_pairs(jobs, [100])
+            ttr_sweep_pairs(jobs, [100])
 
     def test_unknown_engine_raises(self):
         jobs = self._jobs()[:1]
-        with pytest.raises(ValueError, match="unknown engine"):
-            batch.ttr_sweep_pairs(jobs, 100, engine="warp")
-        with pytest.raises(ValueError, match="unknown engine"):
-            batch.ttr_sweep(*jobs[0], 100, engine="warp")
+        for engine in ("warp", "batched"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                batch.ttr_sweep(*jobs[0], 100, engine=engine)

@@ -6,7 +6,7 @@ pinned here:
 (a) zero-intensity environments are **byte-identical** to no
     environment on every engine — the masked code path is always
     exercised, and an all-true mask must change nothing;
-(b) scalar / batched / stream / one-lane stream parity holds under every
+(b) scalar / auto / stream / one-lane stream parity holds under every
     fault family on every workload generator the library ships;
 (c) primary-user churn confined to channels *outside* a pair's common
     set never changes any TTR — faults off the rendezvous channels are
@@ -15,7 +15,7 @@ pinned here:
     compositions and distinct otherwise.
 
 Plus the acceptance gate: ``degradation_report`` is bit-identical
-across all three engines for all three families on all eight workload
+across both engines for all three families on all eight workload
 generators, and the whole layer is process-deterministic (replayed
 under explicit ``PYTHONHASHSEED`` variation).
 """
@@ -105,9 +105,7 @@ def _all_engines(a, b, shifts, horizon, environment):
     """Profiles from every engine under one environment."""
     return {
         "scalar": _scalar(a, b, shifts, horizon, environment),
-        "batched": batch.ttr_sweep(
-            a, b, shifts, horizon, engine="batched", environment=environment
-        ),
+        "auto": batch.ttr_sweep(a, b, shifts, horizon, environment=environment),
         "stream": ttr_sweep_stream(
             a, b, shifts, horizon, environment=environment
         ),
@@ -388,7 +386,7 @@ class TestEffectiveHorizon:
 
 
 class TestDegradationCertification:
-    """Acceptance gate: reports bit-identical across the three engines,
+    """Acceptance gate: reports bit-identical across both engines,
     for all three families on all eight workload generators."""
 
     @pytest.mark.parametrize("family", sorted(ENVIRONMENTS))
@@ -399,9 +397,9 @@ class TestDegradationCertification:
         bound = 3 * max(a.period, b.period)
         reports = [
             degradation_report(a, b, bound, env, engine=engine)
-            for engine in ("scalar", "batched", "stream")
+            for engine in ("scalar", "stream")
         ]
-        assert reports[0] == reports[1] == reports[2], (kind, family)
+        assert reports[0] == reports[1], (kind, family)
         assert reports[0].environment_digest == env.digest()
         assert reports[0].total_shifts == len(
             list(exhaustive_shift_range(a, b))

@@ -169,9 +169,9 @@ class TestScheduleStore:
         assert schedule.period == 867
 
     def test_period_limit_is_batch_table_limit(self):
-        from repro.core.batch import BATCH_TABLE_LIMIT
+        from repro.core.schedule import _CACHE_LIMIT
 
-        assert STORE_PERIOD_LIMIT == BATCH_TABLE_LIMIT
+        assert STORE_PERIOD_LIMIT == _CACHE_LIMIT
 
     def test_evict_and_clear(self, tmp_path):
         store = ScheduleStore(tmp_path)

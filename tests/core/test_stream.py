@@ -1,9 +1,10 @@
-"""Parity tests: the streaming tiled engine vs batched vs scalar.
+"""Parity tests: the streaming tiled engine vs the scalar loop.
 
 The streaming engine's contract is bit-identical profiles at any
-period size and any tile budget: for every workload the library ships,
-``ttr_sweep_stream`` must return exactly what the batched engine and a
-per-shift loop over ``ttr_for_shift`` return — including ``None``
+period size, any tile budget and either tile source (warm period
+tables or the schedules' own chunk hooks): for every workload the
+library ships, ``ttr_sweep_stream`` must return exactly what a
+per-shift loop over ``ttr_for_shift`` returns — including ``None``
 misses, negative shifts, duplicate shifts, degenerate horizons, and
 tiles smaller than one period.
 """
@@ -18,7 +19,7 @@ import pytest
 import repro
 from repro.core import batch
 from repro.core import stream as stream_module
-from repro.core.schedule import CyclicSchedule, FunctionSchedule
+from repro.core.schedule import _CACHE_LIMIT, CyclicSchedule, FunctionSchedule
 from repro.core.stream import TilePlan, plan_tiles, ttr_sweep_stream
 from repro.core.verification import (
     exhaustive_shift_range,
@@ -55,8 +56,8 @@ def _scalar(a, b, shifts, horizon):
 @pytest.mark.parametrize("kind", sorted(WORKLOADS))
 @pytest.mark.parametrize("algorithm", ["paper", "crseq", "jump-stay", "zos"])
 def test_three_way_parity_across_workloads(kind, algorithm):
-    """Stream == batched == scalar on every workload generator, at
-    period sizes where all three engines can run."""
+    """Stream (cold tiles) == stream (warm-table tiles) == scalar on
+    every workload generator."""
     instance = WORKLOADS[kind]()
     pairs = instance.overlapping_pairs()[:2]
     assert pairs, f"workload {kind} produced no overlapping pairs"
@@ -65,8 +66,9 @@ def test_three_way_parity_across_workloads(kind, algorithm):
         b = repro.build_schedule(instance.sets[j], instance.n, algorithm=algorithm)
         horizon = 4 * max(a.period, b.period)
         streamed = ttr_sweep_stream(a, b, SHIFTS, horizon)
-        assert streamed == batch.ttr_sweep(a, b, SHIFTS, horizon, engine="batched")
         assert streamed == _scalar(a, b, SHIFTS, horizon)
+        a.period_table(), b.period_table()  # warm: window-view source
+        assert ttr_sweep_stream(a, b, SHIFTS, horizon) == streamed
 
 
 @pytest.mark.parametrize("tile_bytes", [64, 512, 4096, 1 << 20])
@@ -78,7 +80,7 @@ def test_tile_boundaries_are_invisible(tile_bytes):
     a = repro.build_schedule(instance.sets[0], 32)
     b = repro.build_schedule(instance.sets[1], 32)
     shifts = list(range(-50, 400))
-    reference = batch.ttr_sweep(a, b, shifts, 20_000, engine="batched")
+    reference = batch.ttr_sweep(a, b, shifts, 20_000, engine="scalar")
     assert ttr_sweep_stream(a, b, shifts, 20_000, tile_bytes=tile_bytes) == reference
 
 
@@ -112,10 +114,10 @@ def test_duplicate_empty_and_zero_horizon():
 
 
 def test_huge_period_streams_without_table():
-    """Past BATCH_TABLE_LIMIT the auto dispatcher hands off to the
-    streaming engine, which generates tiles through channel_block and
-    never materializes a period table."""
-    period = batch.BATCH_TABLE_LIMIT + 3
+    """Past the schedule cache limit the streaming engine generates
+    tiles through channel_block and never materializes a period
+    table."""
+    period = _CACHE_LIMIT + 3
     a = FunctionSchedule(lambda t: t % 5, period, channels=frozenset(range(5)))
     b = CyclicSchedule([4, 2])
     shifts = [0, 1, 5, -3, 9999]
@@ -125,10 +127,11 @@ def test_huge_period_streams_without_table():
 
 
 def test_forced_batched_engine_rejects_huge_periods():
-    period = batch.BATCH_TABLE_LIMIT + 3
+    """``engine="batched"`` is not an engine: forcing it raises."""
+    period = _CACHE_LIMIT + 3
     a = FunctionSchedule(lambda t: t % 5, period, channels=frozenset(range(5)))
     b = CyclicSchedule([4, 2])
-    with pytest.raises(ValueError, match="engine='batched'"):
+    with pytest.raises(ValueError, match="unknown engine"):
         batch.ttr_sweep(a, b, [0], 60, engine="batched")
 
 
@@ -147,7 +150,7 @@ def test_raw_arrays_and_memmaps_stream_off_the_table(tmp_path):
     a = store.get([1, 5, 9], 16, "drds")
     b = store.get([5, 12], 16, "drds")
     shifts = list(range(-40, 40))
-    expected = batch.ttr_sweep(a, b, shifts, 50_000, engine="batched")
+    expected = batch.ttr_sweep(a, b, shifts, 50_000, engine="scalar")
     assert ttr_sweep_stream(a, b, shifts, 50_000) == expected
     table_a, table_b = a.period_table(), b.period_table()
     assert isinstance(table_a, np.memmap)
@@ -176,9 +179,9 @@ def test_verify_guarantee_through_stream_engine():
     import math
 
     bound = math.lcm(a.period, b.period)
-    batched = verify_guarantee(a, b, bound)
+    auto = verify_guarantee(a, b, bound)
     streamed = verify_guarantee(a, b, bound, engine="stream", tile_bytes=4096)
-    assert batched == streamed
+    assert auto == streamed
     assert streamed[0]
 
 
@@ -266,12 +269,47 @@ class TestChannelGather:
         assert gathered.tolist() == expected
 
     def test_generic_fallback_on_huge_periods(self):
-        period = batch.BATCH_TABLE_LIMIT + 3
+        period = _CACHE_LIMIT + 3
         sched = FunctionSchedule(lambda t: t % 5, period, channels=frozenset(range(5)))
         indices = np.array([0, 3, 11, period - 1, period + 4], dtype=np.int64)
         assert sched.channel_gather(indices).tolist() == [
             sched.channel_at(int(t)) for t in indices
         ]
+
+
+class TestWarmTableSource:
+    """Warm period tables feed tiles through slices and window views;
+    the rows must equal the schedule's own chunk hooks, wraps included."""
+
+    @pytest.mark.parametrize("algorithm", ["paper", "crseq", "zos"])
+    def test_warm_rows_match_chunk_hooks(self, algorithm):
+        cold = repro.build_schedule([1, 5, 9], 16, algorithm=algorithm)
+        warm = repro.build_schedule([1, 5, 9], 16, algorithm=algorithm)
+        warm.period_table()
+        assert warm.has_warm_table()
+        period = warm.period
+        rng = np.random.default_rng(3)
+        for width in (1, 7, 300):
+            scattered = np.sort(rng.choice(period - 5, size=5, replace=False))
+            for offsets in (scattered[0] + np.arange(5), scattered):
+                for t0 in (0, period - 4, 3 * period + 1):
+                    window = np.arange(width)
+                    expected = cold.channel_gather(
+                        offsets[:, np.newaxis] + t0 + window
+                    )
+                    got = stream_module._gather_tile(warm, offsets, t0, width)
+                    assert got.tolist() == expected.tolist()
+                    block = stream_module._block(warm, t0, t0 + width)
+                    assert block.tolist() == cold.channel_block(
+                        t0, t0 + width
+                    ).tolist()
+
+    def test_cold_schedule_uses_its_chunk_hooks(self):
+        cold = repro.build_schedule([1, 5, 9], 16, algorithm="crseq")
+        assert stream_module._warm_table(cold) is None
+        assert not cold.has_warm_table()
+        stream_module._gather_tile(cold, np.array([0, 40]), 0, 8)
+        assert not cold.has_warm_table(), "the closed form never builds a table"
 
 
 class TestTilePlanner:
@@ -318,6 +356,33 @@ class TestTilePlanner:
         # 4 lanes x 4 blocks per lane -> ceil(1000 / 16) rows per block.
         assert plan.block_rows == 63
         assert plan.workers == 4
+
+    def test_one_tile_sweep_runs_on_one_lane(self):
+        # 128 rows fit one 512 KiB tile (256 rows of 256 slots), so the
+        # lanes would only add a pool: one block, one lane.
+        plan = plan_tiles(128, 1 << 20, workers=4, caches=(1 << 20, 1 << 25))
+        assert plan.block_rows == 128
+        assert plan.workers == 1
+
+    def test_one_tile_sweep_makes_no_thread_pool(self, monkeypatch):
+        from repro.core import telemetry
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-tile sweep must run inline")
+
+        monkeypatch.setattr(stream_module, "ThreadPoolExecutor", no_pool)
+        a, b = CyclicSchedule([1, 2, 3] * 30), CyclicSchedule([3, 1] * 30)
+        shifts = list(range(-20, 20))
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            got = ttr_sweep_stream(a, b, shifts, 500, workers=4)
+            gauges = telemetry.snapshot()["gauges"]
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        assert got == _scalar(a, b, shifts, 500)
+        assert gauges["stream.plan.workers"] == 1
 
     def test_workers_clamped_to_blocks(self):
         plan = plan_tiles(3, 1000, workers=8, tile_bytes=1 << 20)
@@ -499,11 +564,13 @@ class TestCheckpointResume:
     def test_dispatcher_routes_checkpoint_to_stream(self, tmp_path):
         a, b, horizon = self._pair("paper")
         sink = stream_module.SweepCheckpoint(tmp_path / "c.json", interval_blocks=2)
-        via_dispatch = batch.ttr_sweep(a, b, SHIFTS, horizon, checkpoint=sink)
+        via_dispatch = batch.ttr_sweep(
+            a, b, SHIFTS, horizon, tile_bytes=64, checkpoint=sink
+        )
         assert via_dispatch == ttr_sweep_stream(a, b, SHIFTS, horizon)
         assert sink.saves > 0
         with pytest.raises(ValueError, match="streaming"):
-            batch.ttr_sweep(a, b, SHIFTS, horizon, engine="batched", checkpoint=sink)
+            batch.ttr_sweep(a, b, SHIFTS, horizon, engine="scalar", checkpoint=sink)
 
     def test_sink_validation_and_clear(self, tmp_path):
         with pytest.raises(ValueError, match="interval_blocks"):

@@ -6,13 +6,14 @@ The module's three contracts each get a direct gate here:
   shared no-op singleton and allocates nothing on the stream engine's
   hot-loop call pattern;
 * **never observable by results** — telemetry-on and telemetry-off
-  sweeps are bit-identical across all three engines;
+  sweeps are bit-identical across both engines;
 * **deterministic structure** — a snapshot's names, nesting, ordering,
   call counts, and byte totals are identical across ``PYTHONHASHSEED``
   values (only the measured seconds vary).
 
 Plus the aggregation mechanics: span nesting per thread, pool-worker
-snapshot merging through ``SweepRunner``, and counter/gauge semantics.
+snapshot merging through ``SweepRunner``, counter/gauge semantics, and
+the dispatcher's decision counters.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import pytest
 import repro
 from repro.core import telemetry
 from repro.core.batch import ttr_sweep
+from repro.core.schedule import CyclicSchedule
 from repro.core.verification import strided_shift_range
 from repro.sim import runner
 from repro.sim.workloads import random_subsets, single_overlap
@@ -255,7 +257,7 @@ class TestDisabledOverhead:
 
 
 class TestResultParity:
-    @pytest.mark.parametrize("engine", ["scalar", "batched", "stream"])
+    @pytest.mark.parametrize("engine", ["scalar", "stream"])
     def test_on_off_bit_identical(self, engine):
         inst = single_overlap(16, 3, 3, seed=0)
         a = repro.build_schedule(inst.sets[0], 16, algorithm="jump-stay")
@@ -275,10 +277,52 @@ class TestResultParity:
 
         assert on == off
         # The enabled run actually instrumented this engine's phases.
-        prefix = {"scalar": "scalar.", "batched": "batch.", "stream": "stream."}
         assert any(
-            name.startswith(prefix[engine]) for name in snap["spans"]
+            name.startswith(f"{engine}.") for name in snap["spans"]
         ), snap["spans"].keys()
+
+
+class TestDispatchCounters:
+    """ttr_sweep records which engine ran (``dispatch.engine.*``) and,
+    under ``engine="auto"``, which rule chose it (``dispatch.rule.*``)."""
+
+    def _counters(self, a, b, **kwargs):
+        telemetry.reset()
+        telemetry.enable()
+        ttr_sweep(a, b, [0, 1, -1], 4 * max(a.period, b.period), **kwargs)
+        return {
+            name: value
+            for name, value in telemetry.snapshot()["counters"].items()
+            if name.startswith("dispatch.")
+        }
+
+    def test_auto_rules(self):
+        tiny = CyclicSchedule([1, 2])
+        assert self._counters(tiny, tiny) == {
+            "dispatch.engine.scalar": 1, "dispatch.rule.tiny_joint": 1,
+        }
+        a = repro.build_schedule([1, 2], 4, algorithm="paper")
+        assert a.period > 64
+        assert self._counters(a, a) == {
+            "dispatch.engine.stream": 1, "dispatch.rule.default": 1,
+        }
+
+    def test_checkpoint_rule(self, tmp_path):
+        from repro.core.stream import SweepCheckpoint
+
+        a = repro.build_schedule([1, 2], 4, algorithm="paper")
+        counters = self._counters(
+            a, a, checkpoint=SweepCheckpoint(tmp_path / "c.json")
+        )
+        assert counters == {
+            "dispatch.engine.stream": 1, "dispatch.rule.checkpoint": 1,
+        }
+
+    def test_forced_engine_counts_no_rule(self):
+        a = repro.build_schedule([1, 2], 4, algorithm="paper")
+        assert self._counters(a, a, engine="scalar") == {
+            "dispatch.engine.scalar": 1,
+        }
 
 
 # One self-contained script replayed under different PYTHONHASHSEED
@@ -290,6 +334,7 @@ import json
 import repro
 from repro.core import telemetry
 from repro.core.batch import ttr_sweep
+from repro.core.schedule import CyclicSchedule
 from repro.core.verification import strided_shift_range
 from repro.sim.workloads import single_overlap
 

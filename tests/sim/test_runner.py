@@ -509,7 +509,7 @@ class TestSweepRunnerPairMajor:
         assert not engine._stacks(1)
 
     def test_auto_defers_to_unavailable_configs(self, tmp_path):
-        assert not runner.SweepRunner(workers=1, engine="batched")._stacks(10)
+        assert not runner.SweepRunner(workers=1, engine="scalar")._stacks(10)
         assert not runner.SweepRunner(
             workers=1, checkpoint_dir=tmp_path
         )._stacks(10)

@@ -110,7 +110,7 @@ class TestDocsExist:
             "stream-workers",
             "tile-bytes",
             "sweep shape",
-            "STRIDED_DISPATCH_FACTOR",
+            "has_warm_table",
             "results-dir",
             "checkpoint-dir",
             "crossover",
