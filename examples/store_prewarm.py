@@ -2,16 +2,16 @@
 
 At ``n = 128`` a single DRDS period table spans ``45 n^2 + 8n = 738304``
 slots (5.6 MiB) and costs real time to materialize.  Without a store,
-every process that sweeps against it — each `SweepRunner` pool worker,
-every later run — rebuilds it from scratch.  This example shows the
+every runner and process that sweeps against it — every later run,
+every `serve` call — rebuilds it from scratch.  This example shows the
 store lifecycle end to end:
 
 1. prewarm: materialize each distinct table exactly once;
-2. sweep: the runner (and all of its workers) attach read-only memmaps;
+2. sweep: the runner attaches read-only memmaps;
 3. resweep: a fresh runner starts warm — zero builds anywhere;
-4. tune: the same sweep through the streaming engine with explicit
-   intra-pair worker lanes and tile budget — bit-identical results
-   (the runner budgets `workers` across pairs vs within a pair; see
+4. tune: the same sweep through the streaming engine with two thread
+   lanes and an auto-tuned tile budget — bit-identical results (the
+   runner's `workers` is the stream kernel's lane count; see
    docs/TUNING.md);
 5. inspect and evict.
 
@@ -23,7 +23,7 @@ The CLI equivalents:
         --algorithm drds --store-dir .schedules --workers 0
     python -m repro sweep --agents ... --universe 128 \\
         --algorithm drds --store-dir .schedules --engine stream \\
-        --stream-workers 2 --tile-bytes auto
+        --workers 2 --tile-bytes auto
     python -m repro store inspect --store-dir .schedules
     python -m repro store evict --store-dir .schedules --all
 
@@ -92,25 +92,21 @@ def main() -> None:
 
         # --- 4. the engine/tile knobs ride the same store -------------
         # Forcing the streaming engine (tiles gathered straight off the
-        # attached memmaps) with 2 intra-pair lanes and an auto-tuned
-        # tile plan must reproduce the measurements bit-identically —
-        # knobs move wall-clock, never results.  worker_budget shows
-        # how a runner splits its budget across vs within pairs.
+        # attached memmaps) with 2 thread lanes and an auto-tuned tile
+        # plan must reproduce the measurements bit-identically — knobs
+        # move wall-clock, never results.
         tuned = SweepRunner(
-            workers=1, store=ScheduleStore(store_dir),
-            engine="stream", stream_workers=2, tile_bytes=None,
+            workers=2, store=ScheduleStore(store_dir),
+            engine="stream", tile_bytes=None,
         )
         retuned = tuned.measure_instance(
             instance, ALGORITHM, HORIZON, dense=8, probes=8
         )
         assert retuned == measured, "engine/tile knobs must not change results"
-        budgeted = SweepRunner(workers=8)
         pairs = len(instance.overlapping_pairs())
         print(
-            f"streamed resweep with 2 lanes per pair: identical measurements\n"
-            f"worker budget at {pairs} pairs for SweepRunner(workers=8): "
-            f"{budgeted.worker_budget(pairs)} (processes, lanes) — "
-            f"{budgeted.worker_budget(1)} for a single-pair job\n"
+            f"streamed resweep of all {pairs} pairs in one stacked pass "
+            f"on {tuned.workers} lanes: identical measurements\n"
         )
 
         # --- 5. inspect and evict -------------------------------------

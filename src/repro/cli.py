@@ -12,7 +12,7 @@ numbers without writing Python:
     python -m repro netsim --workload whitespace --universe 24 --agents 2000 --churn 0.2 --json
     python -m repro sweep --agents 3,17,40/17,58/3,58 --universe 64
     python -m repro sweep --agents ... --universe 64 --engine stream --tile-bytes 65536
-    python -m repro sweep --agents ... --universe 64 --engine stream --stream-workers 4 --tile-bytes auto
+    python -m repro sweep --agents ... --universe 64 --engine stream --workers 4 --tile-bytes auto
     python -m repro sweep --agents ... --universe 64 --store-dir .schedules --store-cap 1000000
     python -m repro sweep --agents ... --universe 64 --checkpoint-dir .ckpt --resume
     python -m repro sweep --agents ... --universe 64 --environment pu-churn:rate=0.1,seed=7
@@ -85,8 +85,8 @@ def _parse_agents(text: str) -> list[list[int]]:
     return [_parse_channels(part) for part in text.split("/")]
 
 
-def _parse_stream_workers(text: str) -> int:
-    """A nonnegative lane count (0 means the automatic budget)."""
+def _parse_workers(text: str) -> int:
+    """A nonnegative lane count (0 means one per core)."""
     try:
         value = int(text)
     except ValueError as exc:
@@ -95,7 +95,7 @@ def _parse_stream_workers(text: str) -> int:
         ) from exc
     if value < 0:
         raise argparse.ArgumentTypeError(
-            f"stream workers must be nonnegative, got {value}"
+            f"workers must be nonnegative, got {value}"
         )
     return value
 
@@ -325,9 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--probes", type=int, default=64)
     sweep.add_argument(
         "--workers",
-        type=int,
+        type=_parse_workers,
         default=1,
-        help="process count for the pair fan-out; 0 means one per core",
+        help="thread lanes of the streaming scan, shared by every pair "
+        "of the sweep; 0 means one per core; results are invariant "
+        "under the choice",
     )
     sweep.add_argument(
         "--store-dir",
@@ -388,15 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default) sizes tiles from the machine's L2/L3 caches, an "
         "explicit byte count pins it; results are invariant under "
         "the choice",
-    )
-    sweep.add_argument(
-        "--stream-workers",
-        type=_parse_stream_workers,
-        default=0,
-        help="thread lanes for the intra-pair streaming scan; 0 "
-        "(default) budgets automatically — all cores when the pair "
-        "fan-out is serial, one lane per pair when --workers already "
-        "saturates the cores",
     )
     sweep.add_argument(
         "--environment",
@@ -796,7 +789,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             store=store,
             engine=args.engine,
             tile_bytes=args.tile_bytes,
-            stream_workers=args.stream_workers or None,
             results=args.results_dir,
             checkpoint_dir=args.checkpoint_dir,
             environment=args.environment,
@@ -837,8 +829,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"engine:    {args.engine}")
     if faulted:
         print(f"environment: {environment_digest(args.environment)}")
-    if args.stream_workers:
-        print(f"stream workers: {args.stream_workers} per pair")
+    if args.workers != 1:
+        print(f"lanes:     {runner.workers}")
     if args.tile_bytes is not None:
         print(f"tile bytes: {args.tile_bytes}")
     header = ["pair", "worst TTR", "mean", "p95", "shifts"]
@@ -847,20 +839,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(format_table(header, rows))
     missed = runner.cache_misses
     reused = runner.cache_hits
-    # Pool workers keep their own caches, so parent-side stats only
-    # describe serial runs (with a store, misses are attaches or
-    # builds — the store line below splits them).
+    # With a store, misses are attaches or builds — the store line
+    # below splits them.
     cache_note = (
-        f"{missed} cache misses, {reused} cache hits, "
+        f" ({missed} cache misses, {reused} cache hits)"
         if missed + reused
         else ""
     )
-    used = runner.effective_workers(len(measured))
-    print(
-        f"\n{len(measured)} overlapping pairs swept "
-        f"({cache_note}"
-        f"{used} worker{'s' if used != 1 else ''})"
-    )
+    print(f"\n{len(measured)} overlapping pairs swept{cache_note}")
     if runner.store is not None:
         s = runner.store.stats()
         print(
@@ -893,7 +879,7 @@ def _sweep_degradation(
             args.environment,
             engine=args.engine,
             tile_bytes=args.tile_bytes,
-            stream_workers=args.stream_workers or None,
+            stream_workers=runner.workers,
         )
         row = report.to_dict()
         row["pair"] = [i, j]

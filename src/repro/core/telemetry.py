@@ -1,9 +1,8 @@
 """Unified telemetry layer: counters, gauges, and nested timing spans.
 
-Every hot path in the stack — the three sweep engines, the runner's
-pair fan-out, the schedule/result stores, the network simulator — used
-to answer "where did the time go?" with ad-hoc private counters or not
-at all.  This module is the one process-local registry they all report
+Every hot path in the stack — the sweep engines, the runner, the
+schedule/result stores, the network simulator — used to answer "where
+did the time go?" with ad-hoc private counters or not at all.  This module is the one process-local registry they all report
 into, designed around three contracts:
 
 * **Zero overhead when disabled.**  Telemetry is off by default.  A
@@ -20,8 +19,8 @@ into, designed around three contracts:
   bit-identical across all three engines.
 * **Deterministic structure.**  A :func:`snapshot` sorts every key, so
   two runs of the same work produce the same names in the same order
-  (only the measured durations differ) — immune to ``PYTHONHASHSEED``,
-  mergeable across processes, and diffable across machines.
+  (only the measured durations differ) — immune to ``PYTHONHASHSEED``
+  and diffable across machines.
 
 Spans nest: ``with span("runner.measure_pair"): ... with
 span("stream.sweep"): ...`` builds a tree per thread (each thread keeps
@@ -29,10 +28,7 @@ its own stack; a span opened on a worker lane with an empty stack
 becomes its own root).  Durations come from the monotonic
 ``perf_counter_ns`` clock; ``add_bytes`` attributes throughput to a
 span (the stream engine credits each tile's bytes to
-``stream.tile_assembly``).  Pool workers serialize their registry with
-:func:`snapshot` and the parent folds it in with :func:`merge` — the
-``SweepRunner`` does exactly that, so one snapshot covers a whole
-multi-process sweep.
+``stream.tile_assembly``).
 
 Surface: ``python -m repro sweep|serve|netsim --telemetry text|json``
 prints the phase tree (see :func:`format_tree`), and
@@ -55,7 +51,6 @@ __all__ = [
     "counter_value",
     "snapshot",
     "reset",
-    "merge",
     "format_tree",
     "total_seconds",
 ]
@@ -198,7 +193,7 @@ class Telemetry:
         with self._lock:
             return self._counters.get(name, 0)
 
-    # -- snapshot / merge ------------------------------------------------
+    # -- snapshot --------------------------------------------------------
 
     def snapshot(self) -> dict:
         """JSON-able state: sorted counters, gauges, and the span tree.
@@ -224,33 +219,15 @@ class Telemetry:
     def reset(self) -> None:
         """Drop every counter, gauge, and span (open spans still record).
 
-        Also clears the *calling thread's* span stack: a forked pool
-        worker inherits the parent's stack (the parent is typically
-        inside its fan-out span at fork time), and without the clear
-        the worker's spans would nest under a phantom parent that
-        varies with the multiprocessing start method.
+        Also clears the *calling thread's* span stack, so spans opened
+        after a reset root afresh instead of nesting under a span
+        recorded before it.
         """
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
             self._root = _Node()
         self._stack().clear()
-
-    def merge(self, snap: dict | None) -> None:
-        """Fold a serialized snapshot (e.g. from a pool worker) in.
-
-        Counters and span calls/seconds/bytes add; gauges overwrite
-        (last writer wins).  ``None`` and empty snapshots are accepted
-        and ignored, so callers can merge unconditionally.
-        """
-        if not snap:
-            return
-        with self._lock:
-            for name, value in snap.get("counters", {}).items():
-                self._counters[name] = self._counters.get(name, 0) + int(value)
-            for name, value in snap.get("gauges", {}).items():
-                self._gauges[name] = value
-            _merge_children(self._root, snap.get("spans", {}))
 
 
 def _serialize_children(node: _Node) -> dict:
@@ -265,19 +242,6 @@ def _serialize_children(node: _Node) -> dict:
             "children": _serialize_children(child),
         }
     return out
-
-
-def _merge_children(node: _Node, spans: dict) -> None:
-    """Add serialized span subtrees into a live node (recursive)."""
-    for name, payload in spans.items():
-        child = node.children.get(name)
-        if child is None:
-            child = _Node()
-            node.children[name] = child
-        child.calls += int(payload.get("calls", 0))
-        child.ns += int(round(float(payload.get("seconds", 0.0)) * 1e9))
-        child.bytes += int(payload.get("bytes", 0))
-        _merge_children(child, payload.get("children", {}))
 
 
 _REGISTRY = Telemetry()
@@ -347,11 +311,6 @@ def snapshot() -> dict:
 def reset() -> None:
     """Clear the process registry's counters, gauges, and spans."""
     _REGISTRY.reset()
-
-
-def merge(snap: dict | None) -> None:
-    """Fold a worker snapshot into the process registry."""
-    _REGISTRY.merge(snap)
 
 
 def total_seconds(snap: dict) -> float:

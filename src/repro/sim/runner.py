@@ -10,18 +10,16 @@ The heavy lifting happens in :class:`SweepRunner`:
 * schedules are cached per ``(channels, n, algorithm, seed)`` — in an
   instance with many agents the same channel set is never rebuilt for
   each pair it appears in;
-* every pair's shift sweep goes through the engine dispatcher
+* a single pair's shift sweep goes through the engine dispatcher
   (:func:`repro.core.batch.ttr_sweep`), one vectorized pass instead of a
-  Python loop over shifts;
-* instances with many pairs fan out across a
-  ``concurrent.futures.ProcessPoolExecutor`` (worker count configurable,
-  default ``os.cpu_count()``); small jobs stay serial, where the
-  schedule cache and warm numpy buffers beat process startup;
+  Python loop over shifts, and a job of two or more pairs through one
+  stacked :func:`repro.core.stream.ttr_sweep_pairs` tile pass; the
+  runner's ``workers`` is the stream kernel's thread-lane count on both;
 * with a :class:`~repro.core.store.ScheduleStore` attached, period
-  tables are materialized **once** (the parent prewarms every distinct
-  key before fanning out) and workers attach read-only memmap views
-  instead of rebuilding tables per process — the enabling layer for
-  dense-universe sweeps, where table construction dominates;
+  tables are materialized **once** per distinct key and every later
+  runner or process attaches a read-only memmap view instead of
+  rebuilding — the enabling layer for dense-universe sweeps, where
+  table construction dominates;
 * with a :class:`~repro.core.results.ResultStore` attached, whole
   *measurements* persist: a repeat query is answered from disk before
   any schedule is built, which is the serving layer behind
@@ -50,13 +48,12 @@ from __future__ import annotations
 import os
 import random
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core import telemetry
 from repro.core.batch import ENGINES, ttr_sweep
-from repro.core.environment import Environment, environment_digest, parse_environment
+from repro.core.environment import Environment, parse_environment
 from repro.core.results import ResultStore, pair_query, result_digest
 from repro.core.schedule import Schedule
 from repro.core.store import ScheduleStore, build_plain, store_key
@@ -75,9 +72,6 @@ __all__ = [
 # Probes never sample beyond this many shifts of the joint period: the
 # lcm of two large coprime periods can dwarf any meaningful sweep.
 DEFAULT_JOINT_CAP = 1 << 20
-
-# Below this many pairs a process pool costs more than it saves.
-MIN_PARALLEL_PAIRS = 8
 
 
 @dataclass(frozen=True)
@@ -130,7 +124,7 @@ def shift_plan(
 
 
 class SweepRunner:
-    """Vectorized, schedule-caching, optionally parallel sweep engine.
+    """Vectorized, schedule-caching sweep engine.
 
     **Caching contract.** One runner owns one schedule cache, keyed by
     :func:`~repro.core.store.store_key` — ``(channels, n, algorithm,
@@ -147,38 +141,30 @@ class SweepRunner:
     local cache's miss path goes through the store: period tables are
     materialized into the store exactly once per distinct key and every
     later lookup — same runner, another runner, another *process* —
-    attaches a read-only memmap view instead of rebuilding.  Parallel
-    ``measure_instance`` calls prewarm every key in the parent before
-    fanning out, so worker processes never build at all; the store's
+    attaches a read-only memmap view instead of rebuilding; the store's
     ``builds``/``attaches`` counters certify it.
 
     **Engine contract.** ``engine`` / ``tile_bytes`` pass straight
     through to :func:`repro.core.batch.ttr_sweep` for every pair the
-    runner measures (workers included): ``"auto"`` dispatches per pair
-    — the scalar loop for tiny joint periods, the stream kernel for
+    runner measures one at a time: ``"auto"`` dispatches per pair — the
+    scalar loop for tiny joint periods, the stream kernel for
     everything else, so huge-period baselines (Jump-Stay at
     ``n >= 128``) sweep transparently; forcing ``"stream"`` or
     ``"scalar"`` pins the path, and both engines are bit-identical.
 
-    **Stacking contract.** A *serial* job of two or more pairs, with
-    ``engine`` ``"auto"`` or ``"stream"`` and no checkpoint directory,
-    runs every uncached pair through one
-    :func:`repro.core.stream.ttr_sweep_pairs` tile pass instead of one
-    engine dispatch per pair.  Stacked results are bit-identical to
-    per-pair ones, cache consultation and write-through per pair
-    included; the process-pool path is per-pair regardless (each worker
-    owns disjoint pairs already).
+    **Stacking contract.** A job of two or more pairs, with ``engine``
+    ``"auto"`` or ``"stream"`` and no checkpoint directory, runs every
+    uncached pair through one :func:`repro.core.stream.ttr_sweep_pairs`
+    tile pass instead of one engine dispatch per pair.  One pair, a
+    checkpoint directory or ``engine="scalar"`` keeps the per-pair
+    dispatch.  Stacked results are bit-identical to per-pair ones,
+    cache consultation and write-through per pair included, and return
+    in pair order.
 
-    **Process-pool contract.** ``measure_instance`` stays serial below
-    ``MIN_PARALLEL_PAIRS`` pairs or when ``workers <= 1`` — there the
-    shared cache and warm numpy buffers beat process startup.  Larger
-    jobs fan pairs out over a fresh ``ProcessPoolExecutor`` per call;
-    each worker process keeps its *own* ``SweepRunner`` (module-global,
-    reused across the tasks that land on it), so parent-side cache
-    statistics only describe serial runs.  The fan-out ships store
-    handles (directory paths) and picklable inputs (``Instance`` +
-    algorithm name), never live ``Schedule`` objects.  Results return
-    in pair order regardless of which path executed.
+    **Lane contract.** ``workers`` is the thread-lane count of the one
+    stream kernel (``None``: one per CPU), on the stacked pass and the
+    per-pair dispatch alike; every sweep runs in the calling process.
+    Lanes move wall-clock, never results; see ``docs/TUNING.md``.
 
     **Result-cache contract.** With ``results=`` (a
     :class:`~repro.core.results.ResultStore` or a directory path),
@@ -188,8 +174,7 @@ class SweepRunner:
     cache key is engine-invariant (see
     :func:`repro.core.results.pair_query`), so results computed under
     any engine/tile/lane configuration answer queries made under any
-    other; parallel ``measure_instance`` workers consult and fill the
-    same on-disk cache.
+    other.
 
     **Checkpoint contract.** With ``checkpoint_dir=``, every
     streaming-engine sweep snapshots its progress into
@@ -201,30 +186,16 @@ class SweepRunner:
     ``engine="auto"`` dispatches checkpointed sweeps to it; forcing
     ``"scalar"`` alongside a checkpoint directory raises.
 
-    **Worker-budget contract.** ``workers`` is *one* budget spent on
-    two axes: across pairs (the process pool) or within a pair (the
-    streaming engine's intra-pair thread lanes,
-    :func:`repro.core.stream.ttr_sweep_stream`).
-    :meth:`worker_budget` resolves it per job: a job big enough to fan
-    out gives every process to the pair fan-out and keeps each pair's
-    scan single-lane (cores are already saturated; nested parallelism
-    would only thrash), while a small job — few pairs, or one huge-
-    period pair — stays in one process and hands the whole budget to
-    the intra-pair scan.  ``stream_workers`` pins the per-pair lane
-    count on both paths instead (``None`` keeps the automatic split).
-    Every split is bit-identical; see ``docs/TUNING.md``.
-
     **Environment contract.** With ``environment=`` (an
     :class:`~repro.core.environment.Environment`, or a spec string for
     :func:`~repro.core.environment.parse_environment`), every sweep the
-    runner performs — serial or fanned out — runs under that fault
-    model: the mask passes straight through to
-    :func:`repro.core.batch.ttr_sweep`, the environment's canonical
+    runner performs runs under that fault model: the mask passes
+    straight through to the sweep engine, the environment's canonical
     spec joins the result-cache query (faulted and clean measurements
-    can never answer each other), and its digest joins the worker
-    runner key and any checkpoint digest.  Misses stop raising and are
-    counted in :attr:`MeasuredPair.missed` instead — under primary-user
-    churn a lost guarantee is the observation, not a bug.
+    can never answer each other) and any checkpoint digest.  Misses
+    stop raising and are counted in :attr:`MeasuredPair.missed`
+    instead — under primary-user churn a lost guarantee is the
+    observation, not a bug.
     """
 
     def __init__(
@@ -233,12 +204,15 @@ class SweepRunner:
         store: ScheduleStore | str | os.PathLike | None = None,
         engine: str = "auto",
         tile_bytes: int | None = None,
-        stream_workers: int | None = None,
         results: ResultStore | str | os.PathLike | None = None,
         checkpoint_dir: str | os.PathLike | None = None,
         environment: Environment | str | None = None,
     ):
-        self.workers = os.cpu_count() or 1 if workers is None else max(1, workers)
+        if workers is None:
+            workers = os.cpu_count() or 1
+        elif workers < 1:
+            raise ValueError(f"workers must be positive, got {workers}")
+        self.workers = workers
         if store is not None and not isinstance(store, ScheduleStore):
             store = ScheduleStore(store)
         self.store = store
@@ -252,11 +226,6 @@ class SweepRunner:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
         self.engine = engine
         self.tile_bytes = tile_bytes
-        if stream_workers is not None and stream_workers < 1:
-            raise ValueError(
-                f"stream_workers must be positive, got {stream_workers}"
-            )
-        self.stream_workers = stream_workers
         if isinstance(environment, str):
             environment = parse_environment(environment)
         self.environment = environment
@@ -301,7 +270,7 @@ class SweepRunner:
         Touches each agent once with the same per-agent seeds
         ``measure_pair`` uses, so each distinct cache key is built
         exactly once (into the store, when one is attached) before any
-        fan-out.  ``agents`` overrides the pair-derived agent selection
+        sweep.  ``agents`` overrides the pair-derived agent selection
         (e.g. warm everything regardless of overlaps).  Returns the
         number of distinct keys touched.
         """
@@ -321,12 +290,13 @@ class SweepRunner:
             )
             if resident < len(keys):
                 # The sweep's working set exceeds the store cap (or the
-                # tables bypassed it): workers will rebuild what fell
-                # out, defeating the built-once contract.
+                # tables bypassed it): whoever needs the rest next
+                # rebuilds it, defeating the built-once contract.
                 warnings.warn(
                     f"schedule store holds only {resident}/{len(keys)} of "
                     "this sweep's tables (memory cap or period limit); "
-                    "workers will rebuild the rest per process",
+                    "later runners and processes will rebuild the tables "
+                    "the store could not hold",
                     RuntimeWarning,
                     stacklevel=2,
                 )
@@ -341,7 +311,6 @@ class SweepRunner:
         dense: int = 64,
         probes: int = 64,
         seed: int = 0,
-        stream_workers: int | None = None,
     ) -> MeasuredPair:
         """Measure TTR for one overlapping pair over the shift plan.
 
@@ -352,53 +321,15 @@ class SweepRunner:
         Under an attached fault environment misses are expected, so
         they are tallied in :attr:`MeasuredPair.missed` instead of
         raising and the aggregates cover only the shifts that met.
-        ``stream_workers`` pins the intra-pair streaming lanes for this
-        one measurement; ``None`` takes the runner's one-pair budget
-        (see :meth:`worker_budget`).
 
         With a result store attached, a cached measurement is returned
         *before any schedule is built* (the warm-query fast path) and a
         computed one is written through; with a checkpoint directory,
         the sweep itself is interrupt/resumable.
         """
-        with telemetry.span("runner.measure_pair"):
-            i, j = pair
-            query = None
-            if self.results is not None or self.checkpoint_dir is not None:
-                query = self.pair_query_for(
-                    instance, algorithm, pair, horizon, dense, probes, seed
-                )
-            if self.results is not None:
-                cached = self.results.get(query)
-                if cached is not None:
-                    return _measured_from_record(algorithm, pair, cached)
-            a = self.schedule_for(
-                instance.sets[i], instance.n, algorithm, seed * 1000 + i
-            )
-            b = self.schedule_for(
-                instance.sets[j], instance.n, algorithm, seed * 1000 + j
-            )
-            plan = shift_plan(a, b, dense=dense, probes=probes, seed=seed)
-            if not plan:
-                raise ValueError("empty shift plan: need dense > 0 or probes > 0")
-            if stream_workers is None:
-                stream_workers = self.worker_budget(1)[1]
-            checkpoint = None
-            if self.checkpoint_dir is not None:
-                checkpoint = SweepCheckpoint(
-                    self.checkpoint_dir / f"{result_digest(query)}.ckpt.json"
-                )
-            profile = ttr_sweep(
-                a, b, plan, horizon, engine=self.engine,
-                tile_bytes=self.tile_bytes, stream_workers=stream_workers,
-                checkpoint=checkpoint, environment=self.environment,
-            )
-            measured = self._finalize_pair(
-                instance, algorithm, pair, horizon, plan, profile, query
-            )
-            if checkpoint is not None:
-                checkpoint.clear()
-            return measured
+        return self._measure_pairs(
+            instance, algorithm, [pair], horizon, dense, probes, seed
+        )[0]
 
     def _finalize_pair(
         self,
@@ -412,9 +343,9 @@ class SweepRunner:
     ) -> MeasuredPair:
         """Aggregate one pair's profile and write it through the cache.
 
-        Shared tail of :meth:`measure_pair` and the stacked path: tally misses (raising on a clean-run miss, counting them
-        under a fault environment), summarize the samples, and persist
-        the measurement when a result store is attached.
+        Tally misses (raising on a clean-run miss, counting them under
+        a fault environment), summarize the samples, and persist the
+        measurement when a result store is attached.
         """
         i, j = pair
         missed = 0
@@ -470,29 +401,9 @@ class SweepRunner:
             query["agent_seeds"] = [seed * 1000 + i, seed * 1000 + j]
         return query
 
-    def effective_workers(self, num_pairs: int) -> int:
-        """Process count a job of ``num_pairs`` pairs will actually use."""
-        if self.workers > 1 and num_pairs >= MIN_PARALLEL_PAIRS:
-            return self.workers
-        return 1
-
     def worker_budget(self, num_pairs: int) -> tuple[int, int]:
-        """Split the worker budget: ``(pair_processes, stream_lanes)``.
-
-        One budget, two axes.  Jobs that fan out across pairs
-        (``effective_workers > 1``) give every process to the pair pool
-        and keep each pair's streaming scan at one lane — the cores are
-        already saturated, and nested intra-pair threads would only
-        contend.  Jobs that stay serial (fewer than
-        ``MIN_PARALLEL_PAIRS`` pairs) hand the entire budget to the
-        intra-pair scan, so a single huge-period pair still uses every
-        core.  A pinned ``stream_workers`` overrides the per-pair lane
-        count on both paths.
-        """
-        pool = self.effective_workers(num_pairs)
-        if self.stream_workers is not None:
-            return pool, self.stream_workers
-        return pool, 1 if pool > 1 else self.workers
+        """``(processes, stream_lanes)`` for a job: always ``(1, workers)``."""
+        return 1, self.workers
 
     def measure_instance(
         self,
@@ -506,76 +417,19 @@ class SweepRunner:
     ) -> list[MeasuredPair]:
         """Measure all (or the first ``max_pairs``) overlapping pairs.
 
-        Fans out across processes when the job is big enough; results
-        are returned in pair order either way.
+        Results are returned in pair order.
         """
         pairs = instance.overlapping_pairs()
         if max_pairs is not None:
             pairs = pairs[:max_pairs]
-        pool_workers, stream_lanes = self.worker_budget(len(pairs))
-        if pool_workers > 1:
-            store_handle = None
-            if self.store is not None:
-                # Build each distinct period table exactly once, here in
-                # the parent; workers then only ever attach.  The handle
-                # carries the memory cap so worker-side stores honor it.
-                self.prewarm(instance, algorithm, pairs, seed=seed)
-                store_handle = (
-                    str(self.store.store_dir),
-                    self.store.memory_cap,
-                    tuple(str(root) for root in self.store.read_roots),
-                )
-            results_handle = None
-            if self.results is not None:
-                results_handle = (
-                    str(self.results.store_dir), self.results.memory_cap
-                )
-            checkpoint_handle = (
-                None if self.checkpoint_dir is None else str(self.checkpoint_dir)
-            )
-            payloads = [
-                (
-                    instance, algorithm, pair, horizon, dense, probes, seed,
-                    store_handle, self.engine, self.tile_bytes, stream_lanes,
-                    results_handle, checkpoint_handle, self.environment,
-                    telemetry.enabled(),
-                )
-                for pair in pairs
-            ]
-            chunk = max(1, len(payloads) // (self.workers * 4))
-            with telemetry.span("runner.pool_fanout"):
-                telemetry.count("runner.pool_pairs", len(pairs))
-                telemetry.gauge("runner.pool_processes", pool_workers)
-                with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                    outcomes = list(
-                        pool.map(_measure_pair_task, payloads, chunksize=chunk)
-                    )
-            # Worker processes time their tasks on their own registries
-            # and ship snapshots back alongside the results; folding
-            # them in here makes one parent snapshot cover the whole
-            # fanned-out sweep.
-            for _, snap in outcomes:
-                telemetry.merge(snap)
-            return [measured for measured, _ in outcomes]
         with telemetry.span("runner.serial"):
             telemetry.count("runner.serial_pairs", len(pairs))
-            if self._stacks(len(pairs)):
-                return self._measure_pairs_stacked(
-                    instance, algorithm, pairs, horizon,
-                    dense=dense, probes=probes, seed=seed,
-                    stream_lanes=stream_lanes,
-                )
-            return [
-                self.measure_pair(
-                    instance, algorithm, pair, horizon,
-                    dense=dense, probes=probes, seed=seed,
-                    stream_workers=stream_lanes,
-                )
-                for pair in pairs
-            ]
+            return self._measure_pairs(
+                instance, algorithm, pairs, horizon, dense, probes, seed
+            )
 
     def _stacks(self, num_pairs: int) -> bool:
-        """Whether a serial job of ``num_pairs`` pairs runs stacked.
+        """Whether a job of ``num_pairs`` pairs runs stacked.
 
         Stacking needs the streaming engine reachable (``engine`` auto
         or stream) and no checkpoint directory (the stacked scan is not
@@ -587,7 +441,7 @@ class SweepRunner:
             and self.engine in ("auto", "stream")
         )
 
-    def _measure_pairs_stacked(
+    def _measure_pairs(
         self,
         instance: Instance,
         algorithm: str,
@@ -596,30 +450,32 @@ class SweepRunner:
         dense: int,
         probes: int,
         seed: int,
-        stream_lanes: int,
     ) -> list[MeasuredPair]:
-        """Measure a serial job through one stacked tile pass.
+        """Measure ``pairs`` in order: stacked, or one dispatch per pair.
 
-        Per-pair bookkeeping is unchanged from :meth:`measure_pair` —
-        the result cache is consulted first (warm pairs never enter the
-        scan), schedules come from the shared cache, and computed
-        measurements are written through — but every uncached pair's
-        shift plan joins one :func:`repro.core.stream.ttr_sweep_pairs`
-        call, so the whole grid shares a single tile pass instead of
-        one engine dispatch per pair.  Results are bit-identical to the
-        per-pair loop and return in pair order.
+        Every pair consults the result cache first (warm pairs never
+        reach a sweep), takes its schedules from the shared cache and
+        gets its shift plan.  A stacking job (see :meth:`_stacks`) then
+        sends every uncached plan through one
+        :func:`repro.core.stream.ttr_sweep_pairs` tile pass; otherwise
+        each pair sweeps through :func:`repro.core.batch.ttr_sweep` as
+        soon as it is planned, checkpointed when a directory is set.
+        Either way each computed measurement is written through, and the
+        two paths are bit-identical.
         """
+        stacked = self._stacks(len(pairs))
         measured: list[MeasuredPair | None] = [None] * len(pairs)
+        pending: list[tuple[int, tuple[int, int], list[int], dict | None]] = []
         jobs: list[tuple[Schedule, Schedule, list[int]]] = []
-        meta: list[tuple[int, tuple[int, int], list[int], dict | None]] = []
         for idx, pair in enumerate(pairs):
             with telemetry.span("runner.measure_pair"):
                 i, j = pair
                 query = None
-                if self.results is not None:
+                if self.results is not None or self.checkpoint_dir is not None:
                     query = self.pair_query_for(
                         instance, algorithm, pair, horizon, dense, probes, seed
                     )
+                if self.results is not None:
                     cached = self.results.get(query)
                     if cached is not None:
                         measured[idx] = _measured_from_record(
@@ -637,14 +493,32 @@ class SweepRunner:
                     raise ValueError(
                         "empty shift plan: need dense > 0 or probes > 0"
                     )
-                jobs.append((a, b, plan))
-                meta.append((idx, pair, plan, query))
+                if stacked:
+                    jobs.append((a, b, plan))
+                    pending.append((idx, pair, plan, query))
+                    continue
+                checkpoint = None
+                if self.checkpoint_dir is not None:
+                    checkpoint = SweepCheckpoint(
+                        self.checkpoint_dir / f"{result_digest(query)}.ckpt.json"
+                    )
+                # Positional: engine, tile budget, stream-kernel lanes.
+                profile = ttr_sweep(
+                    a, b, plan, horizon, self.engine, self.tile_bytes,
+                    self.workers, checkpoint=checkpoint,
+                    environment=self.environment,
+                )
+                measured[idx] = self._finalize_pair(
+                    instance, algorithm, pair, horizon, plan, profile, query
+                )
+                if checkpoint is not None:
+                    checkpoint.clear()
         if jobs:
             profiles = ttr_sweep_pairs(
                 jobs, horizon, tile_bytes=self.tile_bytes,
-                workers=stream_lanes, environment=self.environment,
+                workers=self.workers, environment=self.environment,
             )
-            for (idx, pair, plan, query), profile in zip(meta, profiles):
+            for (idx, pair, plan, query), profile in zip(pending, profiles):
                 measured[idx] = self._finalize_pair(
                     instance, algorithm, pair, horizon, plan, profile, query
                 )
@@ -690,65 +564,6 @@ def _measured_from_record(
         # clean runs, where a miss raised instead of recording.
         int(record.get("missed", 0)),
     )
-
-
-# One runner per (worker process, store handle, engine config), so the
-# schedule cache — and the store attachment — survives across the tasks
-# that land on that worker.
-_WORKER_RUNNERS: dict[tuple, SweepRunner] = {}
-
-
-def _measure_pair_task(payload: tuple) -> tuple[MeasuredPair, dict | None]:
-    """Measure one pair inside a pool worker (its runner is reused).
-
-    Returns ``(measured, telemetry_snapshot)``: when the parent fanned
-    out with telemetry enabled, the worker enables its own registry,
-    times the task under ``runner.worker_task``, and ships the snapshot
-    back for the parent to :func:`repro.core.telemetry.merge` —
-    resetting after each task so successive tasks on the same worker
-    never double-count.  Telemetry-off fan-outs ship ``None``.
-    """
-    (
-        instance, algorithm, pair, horizon, dense, probes, seed,
-        store_handle, engine, tile_bytes, stream_lanes,
-        results_handle, checkpoint_handle, environment, telemetry_on,
-    ) = payload
-    runner_key = (
-        store_handle, engine, tile_bytes, stream_lanes,
-        results_handle, checkpoint_handle, environment_digest(environment),
-    )
-    runner = _WORKER_RUNNERS.get(runner_key)
-    if runner is None:
-        store = None
-        if store_handle is not None:
-            store_dir, memory_cap, read_roots = store_handle
-            store = ScheduleStore(
-                store_dir, memory_cap=memory_cap, read_roots=read_roots
-            )
-        results = None
-        if results_handle is not None:
-            results_dir, results_cap = results_handle
-            results = ResultStore(results_dir, memory_cap=results_cap)
-        runner = SweepRunner(
-            workers=1, store=store, engine=engine, tile_bytes=tile_bytes,
-            stream_workers=stream_lanes, results=results,
-            checkpoint_dir=checkpoint_handle, environment=environment,
-        )
-        _WORKER_RUNNERS[runner_key] = runner
-    if not telemetry_on:
-        measured = runner.measure_pair(
-            instance, algorithm, pair, horizon,
-            dense=dense, probes=probes, seed=seed,
-        )
-        return measured, None
-    telemetry.enable()
-    telemetry.reset()
-    with telemetry.span("runner.worker_task"):
-        measured = runner.measure_pair(
-            instance, algorithm, pair, horizon,
-            dense=dense, probes=probes, seed=seed,
-        )
-    return measured, telemetry.snapshot()
 
 
 def measure_pairwise(

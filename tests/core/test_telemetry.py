@@ -11,9 +11,9 @@ The module's three contracts each get a direct gate here:
   call counts, and byte totals are identical across ``PYTHONHASHSEED``
   values (only the measured seconds vary).
 
-Plus the aggregation mechanics: span nesting per thread, pool-worker
-snapshot merging through ``SweepRunner``, counter/gauge semantics, and
-the dispatcher's decision counters.
+Plus the aggregation mechanics: span nesting per thread, in-process
+recording of ``SweepRunner`` jobs, counter/gauge semantics, and the
+dispatcher's decision counters.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class TestRegistryBasics:
 
     def test_disabled_count_and_gauge_record_nothing(self):
         telemetry.count("store.result.hits", 5)
-        telemetry.gauge("runner.pool_processes", 4)
+        telemetry.gauge("stream.plan.workers", 4)
         assert telemetry.counter_value("store.result.hits") == 0
         assert telemetry.snapshot()["gauges"] == {}
 
@@ -107,18 +107,6 @@ class TestRegistryBasics:
         assert snap["counters"] == {}
         assert telemetry.total_seconds(snap) == 0.0
 
-    def test_merge_adds_counters_and_span_totals(self):
-        telemetry.enable()
-        with telemetry.span("phase"):
-            telemetry.count("events")
-        worker_snap = telemetry.snapshot()
-        telemetry.merge(worker_snap)
-        telemetry.merge(None)  # tolerated and ignored
-        telemetry.merge({})
-        snap = telemetry.snapshot()
-        assert snap["counters"]["events"] == 2
-        assert snap["spans"]["phase"]["calls"] == 2
-
     def test_snapshot_keys_sorted_at_every_level(self):
         telemetry.enable()
         for name in ("zebra", "alpha", "mid"):
@@ -153,12 +141,12 @@ class TestRegistryBasics:
 
 
 class TestPoolWorkerMerge:
-    def test_spans_merge_across_process_pool_workers(self):
-        # 10 overlapping pairs >= MIN_PARALLEL_PAIRS, so workers=2
-        # genuinely fans out through the ProcessPoolExecutor.
-        inst = random_subsets(16, 8, 5, seed=4)
+    """Every runner job records in-process: the stacked pass's lanes
+    report into the one registry, with no process pool to merge."""
+
+    def test_lanes_record_stacked_pairs_in_process(self):
+        inst = random_subsets(16, 8, 5, seed=4)  # 10 overlapping pairs
         pairs = inst.overlapping_pairs()
-        assert len(pairs) >= runner.MIN_PARALLEL_PAIRS
         telemetry.enable()
         telemetry.reset()
         engine = runner.SweepRunner(workers=2)
@@ -167,18 +155,14 @@ class TestPoolWorkerMerge:
         )
         snap = telemetry.snapshot()
         assert len(results) == len(pairs)
-        # The parent records the fan-out; every worker's serialized
-        # snapshot folds in as its own root lane.
-        assert "runner.pool_fanout" in snap["spans"]
-        worker = snap["spans"]["runner.worker_task"]
-        assert worker["calls"] == len(pairs)
-        assert "runner.measure_pair" in worker["children"]
-        assert worker["children"]["runner.measure_pair"]["calls"] == len(pairs)
-        assert snap["counters"]["runner.pool_pairs"] == len(pairs)
-        assert snap["gauges"]["runner.pool_processes"] == 2
+        assert "runner.pool_fanout" not in snap["spans"]
+        serial = snap["spans"]["runner.serial"]
+        assert serial["children"]["runner.measure_pair"]["calls"] == len(pairs)
+        assert snap["counters"]["stream.pair_jobs"] == len(pairs)
+        assert snap["gauges"]["stream.plan.workers"] <= 2
 
     def test_serial_path_records_without_pool(self):
-        inst = random_subsets(16, 4, 3, seed=3)  # too few pairs to fan out
+        inst = random_subsets(16, 4, 3, seed=3)
         telemetry.enable()
         telemetry.reset()
         engine = runner.SweepRunner(workers=4)

@@ -116,18 +116,45 @@ class TestSweepRunner:
         )
         assert serial == parallel
 
-    def test_small_jobs_stay_serial(self, monkeypatch):
-        inst = random_subsets(16, 4, 3, seed=3)  # at most 3 pairs
-
-        def boom(*args, **kwargs):  # pragma: no cover - guard only
-            raise AssertionError("process pool must not start for small jobs")
-
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", boom)
-        engine = runner.SweepRunner(workers=4)
-        results = engine.measure_instance(
-            inst, "paper", horizon=60_000, dense=2, probes=2
+    def test_two_lane_sweep_with_stores_matches_scalar_loop(self, tmp_path):
+        # Two lanes of one stacked pass, schedule and result stores
+        # attached: bit-identical to the scalar per-pair oracle loop,
+        # and each distinct period table is built exactly once.
+        inst = random_subsets(16, 8, 5, seed=4)  # 10 pairs, 5 distinct sets
+        pairs = inst.overlapping_pairs()
+        assert len(pairs) >= 8
+        engine = runner.SweepRunner(
+            workers=2, store=tmp_path / "store", results=tmp_path / "results"
         )
-        assert len(results) == len(inst.overlapping_pairs())
+        assert engine._stacks(len(pairs))
+        laned = engine.measure_instance(
+            inst, "paper", horizon=60_000, dense=4, probes=4
+        )
+        oracle = runner.SweepRunner(workers=1, engine="scalar")
+        assert laned == [
+            oracle.measure_pair(
+                inst, "paper", pair, 60_000, dense=4, probes=4
+            )
+            for pair in pairs
+        ]
+        distinct = {store_key(s, inst.n, "paper", 0) for s in inst.sets}
+        assert engine.store.builds == len(distinct)
+        assert engine.results.writes == len(pairs)
+
+    def test_cli_import_loads_no_process_pool(self):
+        import subprocess
+        import sys
+
+        script = (
+            "import sys, repro.cli; "
+            "print(sorted(m for m in ('concurrent.futures.process', "
+            "'multiprocessing') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestSweepRunnerStore:
@@ -159,7 +186,7 @@ class TestSweepRunnerStore:
     def test_parallel_sweep_builds_each_table_exactly_once(self, tmp_path):
         # The store's acceptance contract: one build per distinct
         # (channels, n, algorithm, seed) key per sweep, asserted via the
-        # build counter — workers only attach what the parent prewarmed.
+        # build counter.
         inst = random_subsets(16, 8, 5, seed=4)  # 10 pairs, 5 distinct sets
         engine = runner.SweepRunner(workers=2, store=tmp_path)
         engine.measure_instance(inst, "paper", horizon=60_000, dense=2, probes=2)
@@ -184,12 +211,14 @@ class TestSweepRunnerStore:
 
     def test_prewarm_warns_when_working_set_exceeds_cap(self, tmp_path):
         # 5 distinct paper tables at n=16 do not fit under a tiny cap:
-        # prewarming must warn that workers will rebuild the evicted rest.
+        # prewarming must warn that later runs will rebuild the rest.
         inst = random_subsets(16, 8, 5, seed=4)
         engine = runner.SweepRunner(
             workers=1, store=ScheduleStore(tmp_path, memory_cap=2048)
         )
-        with pytest.warns(RuntimeWarning, match="workers will rebuild"):
+        with pytest.warns(
+            RuntimeWarning, match="later runners and processes will rebuild"
+        ):
             engine.prewarm(inst, "paper")
 
     def test_random_baseline_store_keys_by_seed(self, tmp_path):
@@ -208,29 +237,30 @@ class TestSweepRunnerStore:
 
 
 class TestWorkerBudget:
-    """One worker budget, split across pairs vs within a pair."""
-
-    def test_big_jobs_give_processes_to_pairs(self):
-        engine = runner.SweepRunner(workers=4)
-        assert engine.worker_budget(runner.MIN_PARALLEL_PAIRS) == (4, 1)
+    """``workers`` is the stream kernel's lane count, for any job size."""
 
     def test_small_jobs_give_lanes_to_the_pair(self):
         engine = runner.SweepRunner(workers=4)
         assert engine.worker_budget(2) == (1, 4)
         assert engine.worker_budget(1) == (1, 4)
 
+    def test_big_jobs_keep_every_lane(self):
+        engine = runner.SweepRunner(workers=4)
+        assert engine.worker_budget(100) == (1, 4)
+
     def test_single_worker_budget_stays_serial(self):
         engine = runner.SweepRunner(workers=1)
         assert engine.worker_budget(100) == (1, 1)
 
-    def test_pinned_stream_workers_override_both_paths(self):
-        engine = runner.SweepRunner(workers=4, stream_workers=2)
-        assert engine.worker_budget(runner.MIN_PARALLEL_PAIRS) == (4, 2)
-        assert engine.worker_budget(2) == (1, 2)
+    def test_default_is_one_lane_per_cpu(self):
+        import os
+
+        assert runner.SweepRunner().workers == (os.cpu_count() or 1)
 
     def test_stream_workers_validated(self):
-        with pytest.raises(ValueError, match="stream_workers"):
-            runner.SweepRunner(workers=1, stream_workers=0)
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers must be positive"):
+                runner.SweepRunner(workers=workers)
 
     def test_stream_lanes_do_not_change_measurements(self):
         inst = random_subsets(16, 4, 3, seed=3)
@@ -238,7 +268,7 @@ class TestWorkerBudget:
         baseline = runner.SweepRunner(workers=1).measure_pair(
             inst, "jump-stay", pair, horizon=200_000, dense=8, probes=8
         )
-        laned = runner.SweepRunner(workers=1, stream_workers=4, engine="stream")
+        laned = runner.SweepRunner(workers=4, engine="stream")
         assert (
             laned.measure_pair(
                 inst, "jump-stay", pair, horizon=200_000, dense=8, probes=8
@@ -247,9 +277,9 @@ class TestWorkerBudget:
         )
 
     def test_measure_instance_budgets_lanes_serially(self):
-        """A small job on a multi-worker runner hands the budget to the
-        intra-pair scan — and the results stay bit-identical."""
-        inst = random_subsets(16, 4, 3, seed=3)  # below MIN_PARALLEL_PAIRS
+        """A multi-lane runner stacks a small job on its lanes — and the
+        results stay bit-identical."""
+        inst = random_subsets(16, 4, 3, seed=3)
         serial = runner.SweepRunner(workers=1).measure_instance(
             inst, "paper", horizon=60_000, dense=2, probes=2
         )
@@ -556,7 +586,7 @@ class TestSweepRunnerPairMajor:
         assert mixed.results.misses == len(pairs) - 1
 
     def test_parallel_fanout_matches_stacked_serial(self):
-        # The pool path measures per pair; the serial path stacks.
+        # One lane or two, the job stacks; lanes never change results.
         inst = random_subsets(10, 3, 8, seed=4)
         horizon = 60_000
         serial = runner.SweepRunner(workers=1)

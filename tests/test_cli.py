@@ -241,7 +241,7 @@ class TestSweepCommand:
         stream_out = capsys.readouterr().out
         assert "engine:    stream" in stream_out
         # Identical measurements, modulo the engine/knob banner lines.
-        banners = ("engine:", "tile bytes:", "stream workers:")
+        banners = ("engine:", "tile bytes:", "lanes:")
         strip = lambda text: [
             line for line in text.splitlines() if not line.startswith(banners)
         ]
@@ -362,12 +362,12 @@ class TestStreamTuningFlags:
         assert main(args) == 0
         default_out = capsys.readouterr().out
         tuned = args + [
-            "--engine", "stream", "--stream-workers", "2", "--tile-bytes", "auto",
+            "--engine", "stream", "--workers", "2", "--tile-bytes", "auto",
         ]
         assert main(tuned) == 0
         tuned_out = capsys.readouterr().out
-        assert "stream workers: 2 per pair" in tuned_out
-        banners = ("engine:", "tile bytes:", "stream workers:")
+        assert "lanes:     2" in tuned_out
+        banners = ("engine:", "tile bytes:", "lanes:")
         strip = lambda text: [
             line for line in text.splitlines() if not line.startswith(banners)
         ]
@@ -389,8 +389,13 @@ class TestStreamTuningFlags:
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["sweep", "--agents", "1,2/2,3", "--universe", "8",
-                 "--stream-workers", "-2"]
+                 "--workers", "-3"]
             )
+        # 0 still means one lane per core.
+        args = build_parser().parse_args(
+            ["sweep", "--agents", "1,2/2,3", "--universe", "8", "--workers", "0"]
+        )
+        assert args.workers == 0
 
 
 class TestServeCommand:
@@ -652,7 +657,7 @@ class TestTelemetryFlag:
     SWEEP = [
         "sweep", "--agents", "1,5,9/5,20/1,20,31", "--universe", "32",
         "--algorithm", "jump-stay", "--dense", "4", "--probes", "4",
-        "--engine", "stream", "--stream-workers", "1",
+        "--engine", "stream", "--workers", "1",
     ]
 
     def test_sweep_telemetry_json_is_last_line(self, capsys):
@@ -669,9 +674,7 @@ class TestTelemetryFlag:
         assert payload["wall_seconds"] > 0
         # Root spans fit inside the measured wall time (shared clock).
         assert 0 < snap["total_seconds"] <= payload["wall_seconds"] * 1.25
-        assert "runner.serial" in snap["spans"] or (
-            "runner.pool_fanout" in snap["spans"]
-        )
+        assert "runner.serial" in snap["spans"]
         # The flag is scoped to the one invocation: off afterwards.
         assert not telemetry.enabled()
         assert telemetry.snapshot()["spans"] == {}

@@ -107,7 +107,7 @@ class TestDocsExist:
             "auto-tuned tile plan",
             "Intra-pair parallelism",
             "Worker budgeting",
-            "stream-workers",
+            "--workers",
             "tile-bytes",
             "sweep shape",
             "has_warm_table",
@@ -129,7 +129,7 @@ class TestDocsExist:
         for required in (
             "Span taxonomy",
             "stream.tile_assembly",
-            "runner.worker_task",
+            "runner.serial",
             "store.schedule",
             "store.result",
             "netsim.assemble",
