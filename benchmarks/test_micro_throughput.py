@@ -7,22 +7,30 @@ for the production sweep path (:func:`repro.core.batch.ttr_sweep` over
 warm period tables): an exhaustive shift sweep at ``n = 64`` must run
 at least 5x faster than the scalar per-shift loop, timed as medians
 over interleaved reps, and the measurement is persisted to
-``results/BENCH_batched_sweep.json``.
+``results/BENCH_batched_sweep.json``.  ``test_drds_global_build`` times
+the uncached DRDS global build at ``n = 32`` and ``n = 64`` and pins
+both outputs by digest (``results/BENCH_drds_global.json``).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import platform
+import time
 from pathlib import Path
 
 import numpy as np
 
 import repro
 from repro.baselines.drds import build_global_sequence
+from repro.core import telemetry
 from repro.core.batch import ttr_sweep
 from repro.core.epoch import EpochSchedule
 from repro.core.pairwise import async_pair_string, pair_schedule_async
 from repro.core.ramsey import color_bits, edge_color
+from repro.core.stream import cache_sizes
 from repro.core.verification import exhaustive_shift_range, ttr_for_shift
 from repro.sim.workloads import single_overlap
 
@@ -117,13 +125,67 @@ def test_batched_sweep_speedup(record, interleaved):
     assert speedup >= 5, f"ttr_sweep only {speedup:.1f}x faster than scalar"
 
 
-def test_drds_global_build(benchmark):
-    def build():
-        build_global_sequence.cache_clear()
-        return build_global_sequence(8)
+def _sequence_digest(sequence: np.ndarray) -> str:
+    """First 16 hex digits of sha256 over the little-endian int64 bytes."""
+    return hashlib.sha256(sequence.astype("<i8").tobytes()).hexdigest()[:16]
 
-    sequence = benchmark.pedantic(build, rounds=3, iterations=1)
-    assert isinstance(sequence, np.ndarray)
+
+DRDS_DIGESTS = {32: "18c7b827484a49ad", 64: "0635f1981bda3728"}
+
+
+def test_drds_global_build(record, interleaved):
+    """Uncached DRDS global build: n = 32 timed over interleaved reps,
+    n = 64 (the Table-1 top size) timed once; both digests pinned."""
+
+    def build(n: int) -> np.ndarray:
+        build_global_sequence.cache_clear()
+        return build_global_sequence(n)
+
+    reps = 5
+    timings = interleaved({"n32": lambda: build(32)}, reps=reps)["n32"]
+    assert _sequence_digest(build(32)) == DRDS_DIGESTS[32]
+
+    build_global_sequence.cache_clear()
+    telemetry.reset()
+    telemetry.enable()
+    try:
+        start = time.perf_counter()
+        sequence = build_global_sequence(64)
+        n64_s = time.perf_counter() - start
+        tree = telemetry.snapshot()
+    finally:
+        telemetry.disable()
+        telemetry.reset()
+    assert _sequence_digest(sequence) == DRDS_DIGESTS[64]
+
+    payload = {
+        "path": "repro.baselines.drds.build_global_sequence (uncached)",
+        "method": f"n=32: median and IQR over {reps} interleaved reps; "
+        "n=64: one build with telemetry on",
+        "machine": {
+            "nproc": os.cpu_count(),
+            "cache_sizes": list(cache_sizes()),
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        },
+        "n32": timings,
+        "n64_s": round(n64_s, 4),
+        "n64_patch_pairs": tree["counters"]["drds.patch_pairs"],
+        "n64_telemetry": tree,
+        "digests": DRDS_DIGESTS,
+    }
+    results_dir = Path(__file__).parent / "results"
+    results_dir.mkdir(exist_ok=True)
+    (results_dir / "BENCH_drds_global.json").write_text(
+        json.dumps(payload, indent=2) + "\n"
+    )
+    record(
+        "micro_drds_global",
+        f"DRDS global build: n=32 {timings['median_s']:.3f} s (median of "
+        f"{reps} interleaved reps, IQR {timings['iqr_s']:.3f} s); n=64 "
+        f"{n64_s:.2f} s, {payload['n64_patch_pairs']} patch pairs; "
+        "digests match",
+    )
 
 
 def test_simulator_network_run(benchmark):

@@ -20,7 +20,7 @@ numbers without writing Python:
     python -m repro sweep --agents ... --universe 64 --engine stream --telemetry text
     python -m repro serve --a 3,17,40 --b 17,58 --universe 64 --results-dir .results
     python -m repro serve --a ... --b ... --universe 64 --results-dir .results --json
-    python -m repro store prewarm --agents ... --universe 64 --store-dir .schedules
+    python -m repro store prewarm --agents ... --universe 64 --store-dir .schedules --telemetry text
     python -m repro store inspect --store-dir .schedules
     python -m repro store evict --store-dir .schedules --all
     python -m repro walk --bits 110100
@@ -471,6 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     prewarm.add_argument("--universe", type=int, required=True)
     prewarm.add_argument("--algorithm", choices=_ALGORITHMS, default="paper")
     prewarm.add_argument("--store-dir", required=True)
+    _add_telemetry_arg(prewarm)
 
     inspect = store_sub.add_parser("inspect", help="list stored period tables")
     inspect.add_argument("--store-dir", required=True)

@@ -30,8 +30,9 @@ becomes its own root).  Durations come from the monotonic
 span (the stream engine credits each tile's bytes to
 ``stream.tile_assembly``).
 
-Surface: ``python -m repro sweep|serve|netsim --telemetry text|json``
-prints the phase tree (see :func:`format_tree`), and
+Surface: ``--telemetry text|json`` on ``python -m repro sweep``,
+``serve``, ``netsim`` and ``store prewarm`` prints the phase tree (see
+:func:`format_tree`), and
 ``docs/OBSERVABILITY.md`` documents the span taxonomy and how benches
 should consume snapshots.
 """

@@ -8,14 +8,18 @@ the schedule level for *all* shifts on a small instance.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
+from repro.baselines import drds
 from repro.baselines.drds import (
     DRDSSchedule,
     _component_indices,
+    _greedy_patch,
+    _owner_array,
     build_global_sequence,
     difference_coverage,
     sequence_period,
@@ -75,13 +79,112 @@ class TestFamilyProperties:
             assert got[band].all(), f"channel {i} missing stride band"
 
     def test_occupancy_at_most_half(self):
-        n = 8
+        """Closed-form components plus greedy patches own at most half of
+        ``Z_m`` (the filler step only labels the unowned rest)."""
+        for n in (8, 16):
+            m = sequence_period(n)
+            owned = int((_owner_array(n, verify=True) >= 0).sum())
+            core = sum(len(_component_indices(i, n)) for i in range(n))
+            assert owned > core, f"no patched slots counted at n={n}"
+            assert owned <= m // 2, f"n={n}: {owned} of {m} slots owned"
+
+
+# First 16 hex digits of sha256 over the little-endian int64 bytes of
+# ``build_global_sequence(n)``.  The schedule and result stores key their
+# entries by instance, not by implementation, so a changed sequence would
+# be served stale from an existing store: changing these values needs a
+# store-key change first.
+GOLDEN_DIGESTS = {
+    1: "e6a4dd1cc11fe045",
+    2: "b6b1f64b54be9780",
+    3: "2e26cb95f343c79d",
+    5: "8af0867d97d2e655",
+    8: "5acc350467827116",
+    12: "553893edcc33e0d9",
+    16: "690ae4004e727e50",
+    32: "18c7b827484a49ad",
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("n", sorted(GOLDEN_DIGESTS))
+    def test_sequence_digest_pinned(self, n):
+        build_global_sequence.cache_clear()
         sequence = build_global_sequence(n)
+        digest = hashlib.sha256(sequence.astype("<i8").tobytes()).hexdigest()
+        assert digest[:16] == GOLDEN_DIGESTS[n]
+
+    def test_patch_raises_without_free_pair(self):
+        n = 3
         m = sequence_period(n)
-        # Reconstruct core ownership: filler slots are (t mod n) on slots
-        # not in any component; count components + patches via rebuild.
-        core = sum(len(_component_indices(i, n)) for i in range(n))
-        assert core <= m // 2
+        elements = _component_indices(0, n)
+        owner = np.zeros(m, dtype=np.int64)  # every slot already owned
+        covered = difference_coverage(elements, m)
+        assert not covered.all()
+        with pytest.raises(AssertionError, match="DRDS patch failed"):
+            _greedy_patch(owner, 0, elements, covered, m)
+
+    def test_patch_claims_lowest_free_pair(self):
+        m = 12
+        owner = np.full(m, -1, dtype=np.int64)
+        owner[[0, 1, 3, 4]] = 7  # slot 2 is free but its partner 2 + 5 is not
+        owner[7] = 7
+        covered = np.ones(m, dtype=bool)
+        covered[[5, 7]] = False
+        out = _greedy_patch(owner, 7, np.array([0, 1, 3, 4, 7]), covered, m)
+        # d = 5: slot 2 fails (7 owned); 5 and 10 are the lowest free pair,
+        # and 5 - 10 = -5 = 7 mod 12 closes the other hole as a bonus.
+        assert out.tolist() == [0, 1, 3, 4, 7, 5, 10]
+        assert owner[5] == owner[10] == 7
+        assert covered.all()
+
+    def test_patch_pair_may_wrap(self):
+        m = 12
+        owner = np.arange(m)
+        owner[[1, 10, 11]] = -1  # free: 1, 10, 11
+        covered = np.ones(m, dtype=bool)
+        covered[[3, 9]] = False
+        elements = np.array([0, 2, 3, 4, 5, 6, 7, 8, 9])
+        out = _greedy_patch(owner, 0, elements, covered, m)
+        # d = 3: slot 1 fails (4 owned); 10 pairs with 13 mod 12 = 1.
+        assert out[len(elements):].tolist() == [10, 1]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_patch_matches_full_rescan_reference(self, seed, monkeypatch):
+        """Random ownership, scanned in 5-slot chunks so the search
+        crosses chunk boundaries: the patch claims exactly the pairs a
+        full rescan of every free slot per pair claims."""
+
+        def reference(owner, channel, elements, covered, m):
+            elements = list(elements)
+            for d in np.flatnonzero(~covered):
+                if covered[d]:
+                    continue
+                free = np.flatnonzero(owner < 0)
+                x = int(free[owner[(free + d) % m] < 0][0])
+                y = (x + d) % m
+                owner[[x, y]] = channel
+                existing = np.asarray(elements)
+                for new in (x, y):
+                    covered[(new - existing) % m] = True
+                    covered[(existing - new) % m] = True
+                covered[[0, d, (m - d) % m]] = True
+                elements.extend((x, y))
+            return np.asarray(elements, dtype=np.int64)
+
+        monkeypatch.setattr(drds, "_PATCH_CHUNK", 5)
+        rng = np.random.default_rng(seed)
+        m = 3000
+        owner = np.where(rng.random(m) < 0.7, 1, -1)
+        elements = rng.choice(m, 30, replace=False)
+        owner[elements] = 0
+        covered = difference_coverage(elements, m)
+        want_owner, want_covered = owner.copy(), covered.copy()
+        want = reference(want_owner, 0, elements, want_covered, m)
+        got = _greedy_patch(owner, 0, elements, covered, m)
+        assert np.array_equal(got, want)
+        assert np.array_equal(owner, want_owner)
+        assert np.array_equal(covered, want_covered)
 
 
 class TestSchedule:

@@ -210,6 +210,43 @@ class TestStreamPlanDecisions:
         assert snap["counters"]["stream.rows"] == rows
 
 
+class TestDRDSBuild:
+    """The DRDS global build reports its FFT checks and greedy patch."""
+
+    def test_build_spans_and_patch_pair_counter(self):
+        from repro.baselines.drds import (
+            _component_indices,
+            _owner_array,
+            build_global_sequence,
+        )
+
+        n = 8
+        owned = int((_owner_array(n, verify=True) >= 0).sum())
+        core = sum(len(_component_indices(i, n)) for i in range(n))
+        build_global_sequence.cache_clear()
+        telemetry.enable()
+        build_global_sequence(n)
+        snap = telemetry.snapshot()
+        build = snap["spans"]["drds.global_build"]
+        assert build["calls"] == 1
+        children = build["children"]
+        patched = children["drds.patch"]["calls"]
+        assert 0 < patched <= n
+        # One pre-patch check per channel, one re-check per patched one.
+        assert children["drds.coverage"]["calls"] == n + patched
+        assert snap["counters"]["drds.patch_pairs"] == (owned - core) // 2
+
+    def test_unverified_build_has_no_patch(self):
+        from repro.baselines.drds import build_global_sequence
+
+        build_global_sequence.cache_clear()
+        telemetry.enable()
+        build_global_sequence(8, verify=False)
+        snap = telemetry.snapshot()
+        assert snap["spans"]["drds.global_build"]["children"] == {}
+        assert "drds.patch_pairs" not in snap["counters"]
+
+
 class TestDisabledOverhead:
     def test_disabled_hot_loop_allocates_nothing(self):
         # The stream engine's per-tile call pattern: span + add_bytes

@@ -743,6 +743,23 @@ class TestTelemetryFlag:
         assert counters["netsim.chunks"] >= 1
         assert "netsim.assemble" in tree["telemetry"]["spans"]
 
+    def test_store_prewarm_accepts_telemetry(self, capsys, tmp_path):
+        import json
+
+        from repro.baselines.drds import build_global_sequence
+
+        build_global_sequence.cache_clear()
+        code = main(
+            ["store", "prewarm", "--agents", "1,5,9/5,12", "--universe", "16",
+             "--algorithm", "drds", "--store-dir", str(tmp_path / "store"),
+             "--telemetry", "json"]
+        )
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 0
+        tree = json.loads(lines[-1])["telemetry"]
+        assert "drds.global_build" in json.dumps(tree["spans"])
+        assert tree["counters"]["drds.patch_pairs"] > 0
+
 
 class TestStackedSweep:
     ARGS = [

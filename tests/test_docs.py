@@ -45,6 +45,7 @@ class TestDocsExist:
             "BENCH_store_sweep.json",
             "BENCH_service_cache.json",
             "BENCH_network_discovery.json",
+            "BENCH_drds_global.json",
             "network-discovery scaling curve",
             "cohort",
             "result cache",
@@ -147,6 +148,9 @@ class TestDocsExist:
             "stream.plan.block_rows",
             "stream.plan.workers",
             "stream.rows",
+            "drds.global_build",
+            "drds.patch_pairs",
+            "store prewarm",
         ):
             assert required in text, f"docs/OBSERVABILITY.md is missing {required!r}"
 
